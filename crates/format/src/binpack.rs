@@ -86,7 +86,7 @@ pub fn compact_layout(
             }
             keys.pop_front();
             for b in 0..cw {
-                *part.slot_mut(dev, b) = Some(ByteSource { col: cand, byte: b });
+                part.fill(dev, b, ByteSource { col: cand, byte: b });
             }
             dev += 1;
         }
@@ -110,13 +110,13 @@ pub fn compact_layout(
 fn fill_with_normals(part: &mut PartLayout, devices: u32, normal: &mut VecDeque<ByteSource>) {
     for dev in 0..devices {
         for off in 0..part.width() {
-            if normal.is_empty() {
+            if part.slot(dev, off).is_some() {
+                continue;
+            }
+            let Some(src) = normal.pop_front() else {
                 return;
-            }
-            let slot = part.slot_mut(dev, off);
-            if slot.is_none() {
-                *slot = normal.pop_front();
-            }
+            };
+            part.fill(dev, off, src);
         }
     }
 }
@@ -146,7 +146,7 @@ pub fn naive_layout(schema: &TableSchema, devices: u32) -> Result<TableLayout, L
         let mut part = PartLayout::empty(w, devices);
         for (dev, &col) in group.iter().enumerate() {
             for b in 0..schema.column(col).width {
-                *part.slot_mut(dev as u32, b) = Some(ByteSource { col, byte: b });
+                part.fill(dev as u32, b, ByteSource { col, byte: b });
             }
         }
         parts.push(part);

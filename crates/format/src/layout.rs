@@ -44,6 +44,9 @@ pub struct Fragment {
 pub struct PartLayout {
     width: u32,
     slots: Vec<Vec<Slot>>, // [device][width]
+    /// Non-padding slots, counted at construction and kept current by
+    /// [`PartLayout::fill`] — the per-access line accounting reads it.
+    data_bytes: u32,
 }
 
 impl PartLayout {
@@ -59,7 +62,12 @@ impl PartLayout {
         for s in &slots {
             assert_eq!(s.len() as u32, width, "slot row length != width");
         }
-        PartLayout { width, slots }
+        let data_bytes = slots.iter().flatten().filter(|s| s.is_some()).count() as u32;
+        PartLayout {
+            width,
+            slots,
+            data_bytes,
+        }
     }
 
     /// Creates an all-padding part.
@@ -86,17 +94,22 @@ impl PartLayout {
         self.slots[device as usize][offset as usize]
     }
 
-    /// Mutable access used by layout generators.
-    pub(crate) fn slot_mut(&mut self, device: u32, offset: u32) -> &mut Slot {
-        &mut self.slots[device as usize][offset as usize]
+    /// Places `src` in the padding slot at `(device, offset)` — how
+    /// layout generators populate a part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range or already carries a byte.
+    pub(crate) fn fill(&mut self, device: u32, offset: u32, src: ByteSource) {
+        let slot = &mut self.slots[device as usize][offset as usize];
+        assert!(slot.is_none(), "slot ({device}, {offset}) already filled");
+        *slot = Some(src);
+        self.data_bytes += 1;
     }
 
     /// Total non-padding bytes per row in this part.
     pub fn data_bytes(&self) -> u32 {
-        self.slots
-            .iter()
-            .map(|d| d.iter().filter(|s| s.is_some()).count() as u32)
-            .sum()
+        self.data_bytes
     }
 
     /// Total padding bytes per row in this part.
@@ -436,9 +449,21 @@ mod tests {
 
     #[test]
     fn part_accounting() {
-        let p = PartLayout::empty(4, 2);
+        let mut p = PartLayout::empty(4, 2);
         assert_eq!(p.data_bytes(), 0);
         assert_eq!(p.padding_bytes(), 8);
         assert_eq!(p.total_bytes(), 8);
+        p.fill(1, 3, ByteSource { col: 0, byte: 0 });
+        assert_eq!((p.data_bytes(), p.padding_bytes()), (1, 7));
+        let q = PartLayout::new(2, vec![vec![src(0, 0), None], vec![None, src(0, 1)]]);
+        assert_eq!(q.data_bytes(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "already filled")]
+    fn fill_rejects_an_occupied_slot() {
+        let mut p = PartLayout::empty(1, 1);
+        p.fill(0, 0, ByteSource { col: 0, byte: 0 });
+        p.fill(0, 0, ByteSource { col: 0, byte: 1 });
     }
 }

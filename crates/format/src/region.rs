@@ -23,6 +23,20 @@ pub struct PartRegion {
     pub delta_base: u64,
 }
 
+impl PartRegion {
+    /// Device-local offset of the `index`-th row slice of the data
+    /// region, or of the delta region when `delta` (delta slices count
+    /// arena-major across all rotation arenas).
+    pub(crate) fn slice_offset(&self, delta: bool, index: u64) -> u64 {
+        let base = if delta {
+            self.delta_base
+        } else {
+            self.data_base
+        };
+        base + index * self.width as u64
+    }
+}
+
 /// The device-local address plan of one table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionPlan {
@@ -104,8 +118,7 @@ impl RegionPlan {
     /// Panics if the row or part is out of range.
     pub fn data_offset(&self, part: u32, row: u64) -> u64 {
         assert!(row < self.n_rows, "row {row} out of range");
-        let p = &self.parts[part as usize];
-        p.data_base + row * p.width as u64
+        self.parts[part as usize].slice_offset(false, row)
     }
 
     /// Device-local offset of delta slot `idx` of rotation arena
@@ -117,8 +130,7 @@ impl RegionPlan {
     pub fn delta_offset(&self, part: u32, rotation: u32, idx: u64) -> u64 {
         assert!(rotation < self.arenas, "rotation {rotation} out of range");
         assert!(idx < self.arena_rows, "delta index {idx} out of range");
-        let p = &self.parts[part as usize];
-        p.delta_base + (rotation as u64 * self.arena_rows + idx) * p.width as u64
+        self.parts[part as usize].slice_offset(true, rotation as u64 * self.arena_rows + idx)
     }
 
     /// Base offset of the snapshot-bitmap region (replicated per device).

@@ -5,6 +5,8 @@
 //! and write actual row bytes here, while accounting the corresponding
 //! memory traffic against the timing simulator separately.
 
+use std::ops::Range;
+
 use pushtap_pim::DeviceArray;
 
 use crate::circulant::Placement;
@@ -27,6 +29,40 @@ pub enum RowSlot {
         /// Index within the arena.
         idx: u64,
     },
+}
+
+/// A row version's resolved placement: the circulant rotation of its
+/// device slots and its row index within the data or delta region.
+#[derive(Debug, Clone, Copy)]
+struct Located {
+    rotation: u32,
+    delta: bool,
+    index: u64,
+}
+
+impl Located {
+    /// The fragment walk shared by every functional read and write: for
+    /// each fragment of column `col`, in column-byte order, the physical
+    /// device holding it, the device-local byte offset, and the column
+    /// bytes it carries.
+    fn pieces<'a>(
+        self,
+        layout: &'a TableLayout,
+        region: &'a RegionPlan,
+        col: u32,
+    ) -> impl Iterator<Item = (u32, usize, Range<usize>)> + 'a {
+        let devices = layout.devices();
+        layout.fragments(col).iter().map(move |f| {
+            let slice = region.parts()[f.part as usize].slice_offset(self.delta, self.index);
+            let offset = slice + f.offset as u64;
+            let first = f.col_byte as usize;
+            (
+                (f.device + self.rotation) % devices,
+                offset as usize,
+                first..first + f.len as usize,
+            )
+        })
+    }
 }
 
 /// A table instance stored in the unified format.
@@ -72,19 +108,32 @@ impl TableStore {
         &self.mem
     }
 
-    /// Rotation of a slot: data rows rotate with their block; delta slots
-    /// carry their arena's rotation (§5.1).
-    fn rotation(&self, slot: RowSlot) -> u32 {
-        match slot {
-            RowSlot::Data { row } => self.placement.rotation_of(row),
-            RowSlot::Delta { rotation, .. } => rotation,
-        }
-    }
-
-    fn base_offset(&self, part: u32, slot: RowSlot) -> u64 {
-        match slot {
-            RowSlot::Data { row } => self.region.data_offset(part, row),
-            RowSlot::Delta { rotation, idx } => self.region.delta_offset(part, rotation, idx),
+    /// Resolves where a row version lives — its rotation (data rows rotate
+    /// with their block, delta slots carry their arena's, §5.1) and its
+    /// region row index — once for all the fragments walked through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row or delta slot is out of range.
+    fn locate(&self, slot: RowSlot) -> Located {
+        let (rotation, delta, index) = match slot {
+            RowSlot::Data { row } => {
+                assert!(row < self.region.n_rows(), "row {row} out of range");
+                (self.placement.rotation_of(row), false, row)
+            }
+            RowSlot::Delta { rotation, idx } => {
+                let arena_rows = self.region.arena_rows();
+                assert!(
+                    rotation < self.region.arenas() && idx < arena_rows,
+                    "delta slot ({rotation}, {idx}) out of range"
+                );
+                (rotation, true, rotation as u64 * arena_rows + idx)
+            }
+        };
+        Located {
+            rotation,
+            delta,
+            index,
         }
     }
 
@@ -108,15 +157,25 @@ impl TableStore {
                 "width mismatch for column {col}"
             );
         }
-        for col in 0..schema.len() as u32 {
-            self.write_value(slot, col, &values[col as usize]);
+        let at = self.locate(slot);
+        for (col, v) in values.iter().enumerate() {
+            self.scatter(at, col as u32, v);
         }
     }
 
     /// Reads all column values of a row version.
     pub fn read_row(&self, slot: RowSlot) -> Vec<Vec<u8>> {
-        (0..self.layout.schema().len() as u32)
-            .map(|col| self.read_value(slot, col))
+        let at = self.locate(slot);
+        self.layout
+            .schema()
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(col, c)| {
+                let mut v = vec![0u8; c.width as usize];
+                self.gather(at, col as u32, &mut v);
+                v
+            })
             .collect()
     }
 
@@ -128,33 +187,53 @@ impl TableStore {
     pub fn write_value(&mut self, slot: RowSlot, col: u32, value: &[u8]) {
         let width = self.layout.schema().column(col).width;
         assert_eq!(value.len() as u32, width, "width mismatch for column {col}");
-        let rotation = self.rotation(slot);
-        let devices = self.layout.devices();
-        // Borrow the fragments by value to avoid aliasing `self.mem`.
-        let frags: Vec<_> = self.layout.fragments(col).to_vec();
-        for f in frags {
-            let device = (f.device + rotation) % devices;
-            let off = self.base_offset(f.part, slot) + f.offset as u64;
-            self.mem.device_mut(device).write(
-                off as usize,
-                &value[f.col_byte as usize..(f.col_byte + f.len) as usize],
-            );
-        }
+        let at = self.locate(slot);
+        self.scatter(at, col, value);
     }
 
     /// Reads one column value of a row version.
     pub fn read_value(&self, slot: RowSlot, col: u32) -> Vec<u8> {
-        let width = self.layout.schema().column(col).width as usize;
-        let rotation = self.rotation(slot);
-        let devices = self.layout.devices();
-        let mut out = vec![0u8; width];
-        for f in self.layout.fragments(col) {
-            let device = (f.device + rotation) % devices;
-            let off = self.base_offset(f.part, slot) + f.offset as u64;
-            let bytes = self.mem.device(device).read(off as usize, f.len as usize);
-            out[f.col_byte as usize..(f.col_byte + f.len) as usize].copy_from_slice(&bytes);
-        }
+        let mut out = vec![0u8; self.layout.schema().column(col).width as usize];
+        self.gather(self.locate(slot), col, &mut out);
         out
+    }
+
+    /// Reads one column of a row version as a little-endian unsigned
+    /// integer — its first (up to) eight bytes, zero-extended. Equal to
+    /// `dec_u64(&read_value(slot, col))`, without allocating.
+    pub fn read_u64(&self, slot: RowSlot, col: u32) -> u64 {
+        let mut le = [0u8; 8];
+        let n = (self.layout.schema().column(col).width as usize).min(le.len());
+        self.gather(self.locate(slot), col, &mut le[..n]);
+        u64::from_le_bytes(le)
+    }
+
+    /// Copies the leading `out.len()` bytes of column `col` of the
+    /// version at `at` out of the devices.
+    fn gather(&self, at: Located, col: u32, out: &mut [u8]) {
+        for (device, offset, bytes) in at.pieces(&self.layout, &self.region, col) {
+            if bytes.start >= out.len() {
+                break;
+            }
+            let end = bytes.end.min(out.len());
+            self.mem
+                .device(device)
+                .read_into(offset, &mut out[bytes.start..end]);
+        }
+    }
+
+    /// Copies `value` into column `col` of the version at `at`, walking
+    /// the fragments in place beside the mutably borrowed devices.
+    fn scatter(&mut self, at: Located, col: u32, value: &[u8]) {
+        let TableStore {
+            layout,
+            region,
+            mem,
+            ..
+        } = self;
+        for (device, offset, bytes) in at.pieces(layout, region, col) {
+            mem.device_mut(device).write(offset, &value[bytes]);
+        }
     }
 
     /// Copies a delta version back over its origin data row (the
@@ -188,16 +267,13 @@ impl TableStore {
     ///
     /// Panics if `col` is not a single-fragment (key) column.
     pub fn key_bytes_on_device(&self, col: u32, row: u64) -> (u32, Vec<u8>) {
-        let (part, slot) = self
+        let (_, slot) = self
             .layout
             .key_location(col)
             .expect("column is not device-local");
-        let device = self.placement.device_of(slot, row);
-        let f = self.layout.fragments(col)[0];
-        let off = self.region.data_offset(part, row) + f.offset as u64;
         (
-            device,
-            self.mem.device(device).read(off as usize, f.len as usize),
+            self.placement.device_of(slot, row),
+            self.read_value(RowSlot::Data { row }, col),
         )
     }
 }

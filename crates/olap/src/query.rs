@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use pushtap_chbench::{dec_u64, Table};
+use pushtap_chbench::Table;
 use pushtap_oltp::{HtapTable, TpccDb};
 use pushtap_pim::{BankAddr, MemSystem, Op, PimOpKind, Ps, Side};
 
@@ -216,11 +216,14 @@ impl Query {
     }
 }
 
-fn col(t: &HtapTable, name: &str) -> u32 {
-    t.layout()
-        .schema()
-        .index_of(name)
-        .unwrap_or_else(|| panic!("missing column {name}"))
+/// Schema indices of the named columns of `t`.
+pub(crate) fn columns<const N: usize>(t: &HtapTable, names: [&str; N]) -> [u32; N] {
+    names.map(|name| {
+        t.layout()
+            .schema()
+            .index_of(name)
+            .unwrap_or_else(|| panic!("missing column {name}"))
+    })
 }
 
 /// Scans with the PIM units when the column is device-local, otherwise
@@ -265,11 +268,7 @@ fn cpu_compute(db: &TpccDb, elems: u64, cycles_per_elem: u64) -> Ps {
 
 fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
     let ol = db.table(Table::OrderLine);
-    let (c_date, c_qty, c_amt) = (
-        col(ol, "ol_delivery_d"),
-        col(ol, "ol_quantity"),
-        col(ol, "ol_amount"),
-    );
+    let [c_date, c_qty, c_amt] = columns(ol, ["ol_delivery_d", "ol_quantity", "ol_amount"]);
     let mut t = QueryTiming::default();
     // Serial column scans (§6.3): filter date, filter qty, aggregate amount.
     let mut now = scan(engine, ol, c_date, PimOpKind::Filter, mem, at, &mut t);
@@ -285,13 +284,12 @@ fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // Functional result over the snapshot.
     let mut revenue = 0u64;
     for row in 0..ol.n_rows() {
-        let date = dec_u64(&ol.snapshot_read_value(row, c_date));
-        if date <= DELIVERY_CUTOFF {
+        let slot = ol.snapshot_slot(row);
+        if ol.store().read_u64(slot, c_date) <= DELIVERY_CUTOFF {
             continue;
         }
-        let qty = dec_u64(&ol.snapshot_read_value(row, c_qty));
-        if qty <= QUANTITY_MAX {
-            revenue = revenue.wrapping_add(dec_u64(&ol.snapshot_read_value(row, c_amt)));
+        if ol.store().read_u64(slot, c_qty) <= QUANTITY_MAX {
+            revenue = revenue.wrapping_add(ol.store().read_u64(slot, c_amt));
         }
     }
     (QueryResult::Q6 { revenue }, t)
@@ -299,11 +297,9 @@ fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
 
 fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
     let ol = db.table(Table::OrderLine);
-    let (c_date, c_num, c_qty, c_amt) = (
-        col(ol, "ol_delivery_d"),
-        col(ol, "ol_number"),
-        col(ol, "ol_quantity"),
-        col(ol, "ol_amount"),
+    let [c_date, c_num, c_qty, c_amt] = columns(
+        ol,
+        ["ol_delivery_d", "ol_number", "ol_quantity", "ol_amount"],
     );
     let mut t = QueryTiming::default();
     // Filter on the date, then Group on ol_number.
@@ -328,13 +324,13 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // Functional result.
     let mut groups: BTreeMap<u64, Q1Row> = BTreeMap::new();
     for row in 0..ol.n_rows() {
-        let date = dec_u64(&ol.snapshot_read_value(row, c_date));
-        if date <= DELIVERY_CUTOFF {
+        let slot = ol.snapshot_slot(row);
+        if ol.store().read_u64(slot, c_date) <= DELIVERY_CUTOFF {
             continue;
         }
-        let num = dec_u64(&ol.snapshot_read_value(row, c_num));
-        let qty = dec_u64(&ol.snapshot_read_value(row, c_qty));
-        let amt = dec_u64(&ol.snapshot_read_value(row, c_amt));
+        let num = ol.store().read_u64(slot, c_num);
+        let qty = ol.store().read_u64(slot, c_qty);
+        let amt = ol.store().read_u64(slot, c_amt);
         let e = groups.entry(num).or_insert(Q1Row {
             ol_number: num,
             sum_qty: 0,
@@ -351,8 +347,8 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
 fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
     let ol = db.table(Table::OrderLine);
     let it = db.table(Table::Item);
-    let (c_ol_iid, c_amt) = (col(ol, "ol_i_id"), col(ol, "ol_amount"));
-    let (c_iid, c_price) = (col(it, "i_id"), col(it, "i_price"));
+    let [c_ol_iid, c_amt] = columns(ol, ["ol_i_id", "ol_amount"]);
+    let [c_iid, c_price] = columns(it, ["i_id", "i_price"]);
     let mut t = QueryTiming::default();
     // Hash both join columns with the PIM units ([38]'s task division).
     let mut now = scan(engine, it, c_iid, PimOpKind::Hash, mem, at, &mut t);
@@ -388,16 +384,18 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // Functional result: semi-join on item ids passing the price filter.
     let mut matching: HashSet<u64> = HashSet::new();
     for row in 0..it.n_rows() {
-        let price = dec_u64(&it.snapshot_read_value(row, c_price));
+        let slot = it.snapshot_slot(row);
+        let price = it.store().read_u64(slot, c_price);
         if price.is_multiple_of(PRICE_MODULUS) {
-            matching.insert(dec_u64(&it.snapshot_read_value(row, c_iid)));
+            matching.insert(it.store().read_u64(slot, c_iid));
         }
     }
     let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
     for row in 0..ol.n_rows() {
-        let iid = dec_u64(&ol.snapshot_read_value(row, c_ol_iid));
+        let slot = ol.snapshot_slot(row);
+        let iid = ol.store().read_u64(slot, c_ol_iid);
         if matching.contains(&iid) {
-            let amt = dec_u64(&ol.snapshot_read_value(row, c_amt));
+            let amt = ol.store().read_u64(slot, c_amt);
             let g = groups.entry(iid % Q9_GROUPS).or_insert(0);
             *g = g.wrapping_add(amt);
         }

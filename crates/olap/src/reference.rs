@@ -5,13 +5,13 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use pushtap_chbench::{dec_u64, Table};
+use pushtap_chbench::Table;
 use pushtap_format::RowSlot;
 use pushtap_mvcc::Ts;
 use pushtap_oltp::{HtapTable, TpccDb};
 
 use crate::query::{
-    Q1Row, Q9Row, QueryResult, DELIVERY_CUTOFF, PRICE_MODULUS, Q9_GROUPS, QUANTITY_MAX,
+    columns, Q1Row, Q9Row, QueryResult, DELIVERY_CUTOFF, PRICE_MODULUS, Q9_GROUPS, QUANTITY_MAX,
 };
 
 /// Resolves the version of `row` visible at `ts` by walking the chain
@@ -28,22 +28,19 @@ fn resolve(table: &HtapTable, row: u64, ts: Ts) -> RowSlot {
     }
 }
 
-fn value(table: &HtapTable, row: u64, col: &str, ts: Ts) -> u64 {
-    let c = table.layout().schema().index_of(col).expect("column");
-    dec_u64(&table.store().read_value(resolve(table, row, ts), c))
-}
-
 /// Reference Q6: `SUM(ol_amount)` under the date/quantity predicates, as
 /// of timestamp `ts`.
 pub fn ref_q6(db: &TpccDb, ts: Ts) -> QueryResult {
     let ol = db.table(Table::OrderLine);
+    let [c_date, c_qty, c_amt] = columns(ol, ["ol_delivery_d", "ol_quantity", "ol_amount"]);
     let mut revenue = 0u64;
     for row in 0..ol.n_rows() {
-        if value(ol, row, "ol_delivery_d", ts) <= DELIVERY_CUTOFF {
+        let slot = resolve(ol, row, ts);
+        if ol.store().read_u64(slot, c_date) <= DELIVERY_CUTOFF {
             continue;
         }
-        if value(ol, row, "ol_quantity", ts) <= QUANTITY_MAX {
-            revenue = revenue.wrapping_add(value(ol, row, "ol_amount", ts));
+        if ol.store().read_u64(slot, c_qty) <= QUANTITY_MAX {
+            revenue = revenue.wrapping_add(ol.store().read_u64(slot, c_amt));
         }
     }
     QueryResult::Q6 { revenue }
@@ -52,20 +49,25 @@ pub fn ref_q6(db: &TpccDb, ts: Ts) -> QueryResult {
 /// Reference Q1: pricing summary grouped by `ol_number`, as of `ts`.
 pub fn ref_q1(db: &TpccDb, ts: Ts) -> QueryResult {
     let ol = db.table(Table::OrderLine);
+    let [c_date, c_num, c_qty, c_amt] = columns(
+        ol,
+        ["ol_delivery_d", "ol_number", "ol_quantity", "ol_amount"],
+    );
     let mut groups: BTreeMap<u64, Q1Row> = BTreeMap::new();
     for row in 0..ol.n_rows() {
-        if value(ol, row, "ol_delivery_d", ts) <= DELIVERY_CUTOFF {
+        let slot = resolve(ol, row, ts);
+        if ol.store().read_u64(slot, c_date) <= DELIVERY_CUTOFF {
             continue;
         }
-        let num = value(ol, row, "ol_number", ts);
+        let num = ol.store().read_u64(slot, c_num);
         let e = groups.entry(num).or_insert(Q1Row {
             ol_number: num,
             sum_qty: 0,
             sum_amount: 0,
             count: 0,
         });
-        e.sum_qty = e.sum_qty.wrapping_add(value(ol, row, "ol_quantity", ts));
-        e.sum_amount = e.sum_amount.wrapping_add(value(ol, row, "ol_amount", ts));
+        e.sum_qty = e.sum_qty.wrapping_add(ol.store().read_u64(slot, c_qty));
+        e.sum_amount = e.sum_amount.wrapping_add(ol.store().read_u64(slot, c_amt));
         e.count += 1;
     }
     QueryResult::Q1(groups.into_values().collect())
@@ -75,18 +77,23 @@ pub fn ref_q1(db: &TpccDb, ts: Ts) -> QueryResult {
 pub fn ref_q9(db: &TpccDb, ts: Ts) -> QueryResult {
     let it = db.table(Table::Item);
     let ol = db.table(Table::OrderLine);
+    let [c_iid, c_price] = columns(it, ["i_id", "i_price"]);
+    let [c_ol_iid, c_amt] = columns(ol, ["ol_i_id", "ol_amount"]);
     let mut matching: HashSet<u64> = HashSet::new();
     for row in 0..it.n_rows() {
-        if value(it, row, "i_price", ts).is_multiple_of(PRICE_MODULUS) {
-            matching.insert(value(it, row, "i_id", ts));
+        let slot = resolve(it, row, ts);
+        let price = it.store().read_u64(slot, c_price);
+        if price.is_multiple_of(PRICE_MODULUS) {
+            matching.insert(it.store().read_u64(slot, c_iid));
         }
     }
     let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
     for row in 0..ol.n_rows() {
-        let iid = value(ol, row, "ol_i_id", ts);
+        let slot = resolve(ol, row, ts);
+        let iid = ol.store().read_u64(slot, c_ol_iid);
         if matching.contains(&iid) {
             let g = groups.entry(iid % Q9_GROUPS).or_insert(0);
-            *g = g.wrapping_add(value(ol, row, "ol_amount", ts));
+            *g = g.wrapping_add(ol.store().read_u64(slot, c_amt));
         }
     }
     QueryResult::Q9(

@@ -689,12 +689,6 @@ impl HtapTable {
         self.store.read_row(self.snapshot_slot(row))
     }
 
-    /// Reads one column of the snapshot-visible version of `row` — the
-    /// per-column access a PIM scan performs.
-    pub fn snapshot_read_value(&self, row: u64, col: u32) -> Vec<u8> {
-        self.store.read_value(self.snapshot_slot(row), col)
-    }
-
     /// Timed snapshot update (§5.2): folds the commit log into the
     /// bitmaps. CPU reads metadata from host memory and writes bitmap
     /// lines on the PIM side (one aligned write updates all devices).

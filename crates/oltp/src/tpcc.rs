@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pushtap_chbench::{dec_u64, enc_u64, NewOrder, Partitioning, Payment, RowGen, Table, Txn};
+use pushtap_chbench::{enc_u64, NewOrder, Partitioning, Payment, RowGen, Table, Txn};
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
@@ -246,6 +246,53 @@ pub struct TpccDb {
     san: Arc<dyn AccessSink>,
     /// The shard index stamped on sanitizer scopes (0 standalone).
     san_track: u32,
+    /// Schema indices of the columns transactions read and write.
+    cols: TxnColumns,
+}
+
+/// Schema indices of the TPC-C columns the transaction decomposition
+/// names, resolved once at build time.
+#[derive(Debug, Clone, Copy)]
+struct TxnColumns {
+    w_ytd: u32,
+    d_ytd: u32,
+    d_next_o_id: u32,
+    c_balance: u32,
+    c_ytd_payment: u32,
+    c_payment_cnt: u32,
+    i_price: u32,
+    s_quantity: u32,
+    s_ytd: u32,
+    s_order_cnt: u32,
+}
+
+impl TxnColumns {
+    /// Looks every column up in the built tables' schemas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table lacks one of the columns.
+    fn resolve(tables: &BTreeMap<Table, HtapTable>) -> TxnColumns {
+        let col = |table: Table, name: &str| {
+            tables[&table]
+                .layout()
+                .schema()
+                .index_of(name)
+                .unwrap_or_else(|| panic!("{table:?} has no column {name}"))
+        };
+        TxnColumns {
+            w_ytd: col(Table::Warehouse, "w_ytd"),
+            d_ytd: col(Table::District, "d_ytd"),
+            d_next_o_id: col(Table::District, "d_next_o_id"),
+            c_balance: col(Table::Customer, "c_balance"),
+            c_ytd_payment: col(Table::Customer, "c_ytd_payment"),
+            c_payment_cnt: col(Table::Customer, "c_payment_cnt"),
+            i_price: col(Table::Item, "i_price"),
+            s_quantity: col(Table::Stock, "s_quantity"),
+            s_ytd: col(Table::Stock, "s_ytd"),
+            s_order_cnt: col(Table::Stock, "s_order_cnt"),
+        }
+    }
 }
 
 /// Lowers a scheduler [`Key`] to the sanitizer's engine-agnostic
@@ -408,6 +455,7 @@ impl TpccDb {
             base_dram_row = (base_dram_row + rows_used) % geometry.rows_per_bank;
             tables.insert(table, t);
         }
+        let cols = TxnColumns::resolve(&tables);
         Ok(TpccDb {
             tables,
             meter: Meter::new(cfg.costs, mem.cfg().cpu),
@@ -426,6 +474,7 @@ impl TpccDb {
             track: 0,
             san: Arc::new(NullSanitizer),
             san_track: 0,
+            cols,
         })
     }
 
@@ -643,7 +692,7 @@ impl TpccDb {
     pub fn committed_column(&self, table: Table, row: u64, col: u32) -> Vec<u8> {
         let local = self.own_row(table, row);
         let t = &self.tables[&table];
-        t.store().read_row(t.chains().newest_slot(local))[col as usize].clone()
+        t.store().read_value(t.chains().newest_slot(local), col)
     }
 
     /// The cost meter in effect.
@@ -893,15 +942,6 @@ impl TpccDb {
         warehouse_of_row(row, global, self.warehouses_global)
     }
 
-    /// Column index of `name` in `table`'s schema.
-    fn col(&self, table: Table, name: &str) -> u32 {
-        self.tables[&table]
-            .layout()
-            .schema()
-            .index_of(name)
-            .unwrap_or_else(|| panic!("{table:?} has no column {name}"))
-    }
-
     fn decompose_payment(&self, p: &Payment, ts: Ts) -> Vec<TaggedEffect> {
         vec![
             // Warehouse YTD: a read-modify-write accumulation over the
@@ -913,7 +953,7 @@ impl TpccDb {
                     table: Table::Warehouse,
                     row: p.w_id,
                     writes: vec![(
-                        self.col(Table::Warehouse, "w_ytd"),
+                        self.cols.w_ytd,
                         ColumnWrite::Add {
                             amount: p.amount,
                             width: 8,
@@ -927,10 +967,7 @@ impl TpccDb {
                 effect: Effect::Update {
                     table: Table::District,
                     row: p.w_id * 10 + p.d_id,
-                    writes: vec![(
-                        self.col(Table::District, "d_ytd"),
-                        ColumnWrite::Set(enc_u64(p.amount, 8)),
-                    )],
+                    writes: vec![(self.cols.d_ytd, ColumnWrite::Set(enc_u64(p.amount, 8)))],
                 },
             },
             // Customer balance / ytd / payment count — the one Payment
@@ -942,18 +979,12 @@ impl TpccDb {
                     table: Table::Customer,
                     row: p.c_row,
                     writes: vec![
+                        (self.cols.c_balance, ColumnWrite::Set(enc_u64(p.amount, 8))),
                         (
-                            self.col(Table::Customer, "c_balance"),
+                            self.cols.c_ytd_payment,
                             ColumnWrite::Set(enc_u64(p.amount, 8)),
                         ),
-                        (
-                            self.col(Table::Customer, "c_ytd_payment"),
-                            ColumnWrite::Set(enc_u64(p.amount, 8)),
-                        ),
-                        (
-                            self.col(Table::Customer, "c_payment_cnt"),
-                            ColumnWrite::Set(enc_u64(1, 2)),
-                        ),
+                        (self.cols.c_payment_cnt, ColumnWrite::Set(enc_u64(1, 2))),
                     ],
                 },
             },
@@ -994,10 +1025,7 @@ impl TpccDb {
             effect: Effect::Update {
                 table: Table::District,
                 row: no.w_id * 10 + no.d_id,
-                writes: vec![(
-                    self.col(Table::District, "d_next_o_id"),
-                    ColumnWrite::Set(enc_u64(ts.0, 4)),
-                )],
+                writes: vec![(self.cols.d_next_o_id, ColumnWrite::Set(enc_u64(ts.0, 4)))],
             },
         });
         // Insert ORDER + NEWORDER rows (striped by home warehouse). The
@@ -1048,11 +1076,9 @@ impl TpccDb {
             // ITEM is read-only after population, so its data region is
             // the newest version everywhere — the price the timed read
             // will observe at apply time.
-            let price = dec_u64(
-                &item_table
-                    .store()
-                    .read_value(RowSlot::Data { row: item }, 3),
-            );
+            let price = item_table
+                .store()
+                .read_u64(RowSlot::Data { row: item }, self.cols.i_price);
             if !touched_stock.contains(&stock) {
                 touched_stock.push(stock);
                 effects.push(TaggedEffect {
@@ -1061,18 +1087,9 @@ impl TpccDb {
                         table: Table::Stock,
                         row: stock,
                         writes: vec![
-                            (
-                                self.col(Table::Stock, "s_quantity"),
-                                ColumnWrite::Set(enc_u64(40, 2)),
-                            ),
-                            (
-                                self.col(Table::Stock, "s_ytd"),
-                                ColumnWrite::Set(enc_u64(price, 8)),
-                            ),
-                            (
-                                self.col(Table::Stock, "s_order_cnt"),
-                                ColumnWrite::Set(enc_u64(1, 2)),
-                            ),
+                            (self.cols.s_quantity, ColumnWrite::Set(enc_u64(40, 2))),
+                            (self.cols.s_ytd, ColumnWrite::Set(enc_u64(price, 8))),
+                            (self.cols.s_order_cnt, ColumnWrite::Set(enc_u64(1, 2))),
                         ],
                     },
                 });
@@ -1135,11 +1152,8 @@ impl TpccDb {
                         // committed stream, independent of when
                         // defragmentation folded versions back.
                         ColumnWrite::Add { amount, width } => {
-                            let cur = t.store().read_row(t.chains().newest_slot(local));
-                            (
-                                *col,
-                                enc_u64(dec_u64(&cur[*col as usize]).wrapping_add(*amount), *width),
-                            )
+                            let cur = t.store().read_u64(t.chains().newest_slot(local), *col);
+                            (*col, enc_u64(cur.wrapping_add(*amount), *width))
                         }
                     })
                     .collect();

@@ -49,11 +49,18 @@ impl DeviceMem {
     /// as zero, like fresh DRAM.
     pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        if offset < self.bytes.len() {
-            let n = len.min(self.bytes.len() - offset);
-            out[..n].copy_from_slice(&self.bytes[offset..offset + n]);
-        }
+        self.read_into(offset, &mut out);
         out
+    }
+
+    /// Fills `out` with the bytes at `offset` without allocating. Bytes
+    /// beyond the written extent read as zero, like fresh DRAM — even
+    /// when `offset` itself lies past the extent.
+    pub fn read_into(&self, offset: usize, out: &mut [u8]) {
+        let stored = self.bytes.get(offset..).unwrap_or_default();
+        let n = out.len().min(stored.len());
+        out[..n].copy_from_slice(&stored[..n]);
+        out[n..].fill(0);
     }
 
     /// Writes `data` at `offset`, growing the store as needed.
@@ -149,6 +156,49 @@ mod tests {
         // Unwritten bytes are zero, even past the extent.
         assert_eq!(m.read(0, 10), vec![0u8; 10]);
         assert_eq!(m.read(1000, 4), vec![0u8; 4]);
+    }
+
+    #[test]
+    fn read_into_inside_the_extent() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2, 3, 4, 5, 6]);
+        let mut out = [0xFFu8; 3];
+        m.read_into(2, &mut out);
+        assert_eq!(out, [3, 4, 5]);
+    }
+
+    #[test]
+    fn read_into_straddling_the_end_zero_fills_the_tail() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2, 3, 4]);
+        let mut out = [0xFFu8; 4];
+        m.read_into(2, &mut out);
+        assert_eq!(out, [3, 4, 0, 0]);
+    }
+
+    #[test]
+    fn read_into_past_the_extent_reads_zero() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2, 3, 4]);
+        // Starting exactly at, and well beyond, the end of the extent.
+        for offset in [4, 5, 1000] {
+            let mut out = [0xFFu8; 4];
+            m.read_into(offset, &mut out);
+            assert_eq!(out, [0; 4], "offset {offset}");
+        }
+        let mut out = [0xFFu8; 2];
+        DeviceMem::new().read_into(0, &mut out);
+        assert_eq!(out, [0; 2]);
+    }
+
+    #[test]
+    fn read_into_empty_output_is_a_no_op() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2]);
+        for offset in [0, 2, 1000] {
+            m.read_into(offset, &mut []);
+        }
+        assert_eq!(m.len(), 2, "reads never grow the store");
     }
 
     #[test]
