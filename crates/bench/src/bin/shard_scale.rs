@@ -1,4 +1,4 @@
-//! Prints the shard-scaling tables (serial vs pipelined coordinator at
+//! Prints the shard-scaling tables (routed vs warehouse-local tpmC at
 //! 1 → 8 shards). With `--json`, the same single sweep also writes
 //! `BENCH_shard_scale.json` so the perf trajectory is machine-readable.
 //! With `--trace <path>`, additionally writes a Chrome-trace timeline

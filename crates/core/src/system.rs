@@ -194,16 +194,16 @@ pub struct OltpReport {
     /// delivery — the ledger sum of every hop's latency, one entry per
     /// counted round (not included in [`OltpReport::txn_time`],
     /// mirroring how the shard layer separates coordination time from
-    /// engine time). Under a pipelined coordinator, deliveries of one
+    /// engine time). Under the shard coordinator, deliveries of one
     /// wave overlap in flight, so the latency that actually lands on
     /// the engine's clock is [`OltpReport::critical_path_time`] ≤ this
     /// sum.
     pub two_pc_time: Ps,
     /// Two-phase-commit message latency on this engine's *critical
-    /// path*: the clock advance the rounds actually caused. A serial
-    /// coordinator delivers rounds one at a time, so this equals
-    /// [`OltpReport::two_pc_time`]; a pipelined coordinator dispatches a
-    /// whole wave's messages concurrently, and a delivery that arrives
+    /// path*: the clock advance the rounds actually caused. A round
+    /// delivered alone (a shard coordinator retrying a wave casualty)
+    /// lands in full, as in [`OltpReport::two_pc_time`]; a wave's
+    /// messages are dispatched concurrently, and a delivery that arrives
     /// while the engine is still busy with earlier wave work stalls it
     /// for less than a full hop (possibly not at all). Time-share
     /// metrics must divide by busy time using *this* figure — the
@@ -214,7 +214,7 @@ pub struct OltpReport {
     pub wal_appends: u64,
     /// Group-commit force barriers this engine's effect log paid — the
     /// fsync count. Group commit amortizes one force across a whole
-    /// wave, so under a pipelined coordinator this stays well below the
+    /// wave, so under the shard coordinator this stays well below the
     /// committed-transaction count.
     pub wal_forces: u64,
     /// Framed bytes appended to this engine's effect log.
@@ -233,10 +233,9 @@ pub struct OltpReport {
     /// coordinator) the two-phase-commit rounds. One sample per commit,
     /// so `commit_latency.stats().count == committed`.
     pub commit_latency: Histogram,
-    /// Time transactions spent parked in a coordinator queue before
-    /// execution began (picoseconds). Empty on a single-instance run;
-    /// the serial shard coordinator fills it with conflict-barrier
-    /// queueing delays.
+    /// Time transactions spent parked in an inbox before execution
+    /// began (picoseconds). Only the sharded open-loop front-end fills
+    /// it (arrival to wave dispatch); empty on every batch run.
     pub queue_wait: Histogram,
     /// Duration of each defragmentation pause that landed on this
     /// engine's clock (picoseconds), one sample per pass.
@@ -284,7 +283,7 @@ impl OltpReport {
     /// Computed from [`OltpReport::critical_path_time`] (the latency
     /// that actually landed on the clock) minus the group-commit force
     /// time it includes — forces are durability, not messaging — so the
-    /// share stays ≤ 1.0 even when a pipelined coordinator overlaps the
+    /// share stays ≤ 1.0 even when a shard coordinator overlaps the
     /// message rounds of concurrent transactions, and stays zero for a
     /// logged but fully warehouse-local batch; the sequential-delivery
     /// ledger [`OltpReport::two_pc_time`] could exceed the clock under

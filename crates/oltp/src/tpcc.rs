@@ -225,9 +225,9 @@ pub struct TpccDb {
     /// caller after defragmentation, so this is also the retry count).
     aborts: u64,
     /// Prepared-but-undecided scopes keyed by pinned commit timestamp —
-    /// the two-phase commits in flight on this engine. A serial
-    /// coordinator holds at most one; a pipelined coordinator holds one
-    /// per overlapped non-conflicting transaction.
+    /// the two-phase commits in flight on this engine. The shard
+    /// coordinator holds one per overlapped non-conflicting wave member
+    /// (a casualty's retry, run alone, holds exactly one).
     prepared: BTreeMap<Ts, PreparedScope>,
     /// Cumulative simulated time consumed by rolled-back attempts: the
     /// statements a transaction executed before hitting [`DeltaFull`].

@@ -378,7 +378,7 @@ impl Scope {
 struct Shadow {
     /// Open scopes by (track, ts).
     scopes: BTreeMap<(u32, u64), Scope>,
-    /// Wave assignment by ts (absent = solo / serial).
+    /// Wave assignment by ts (absent = solo).
     waves: BTreeMap<u64, u64>,
     /// Lockset-style wave occupancy: which transactions touched which
     /// conflict key inside which wave, and whether as a writer.

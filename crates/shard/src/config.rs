@@ -23,8 +23,8 @@ pub struct CommitConfig {
     /// Latency of one write-ahead-log force barrier (the group-commit
     /// fsync, extending the §6.3 force-barrier model to durable media).
     /// Charged to the forcing shard's clock and `critical_path_time`
-    /// once per *force*, not per transaction — a pipelined wave
-    /// amortizes one force across every record the wave appended.
+    /// once per *force*, not per transaction — a wave amortizes one
+    /// force across every record the wave appended.
     /// Inert unless the deployment enables its WAL
     /// (`ShardedHtap::enable_wal`).
     pub force_latency: Ps,
@@ -51,32 +51,6 @@ impl CommitConfig {
     };
 }
 
-/// How the coordinator executes a routed stream.
-///
-/// Both modes commit byte-identical state (the committed bytes are a
-/// pure function of the committed transaction stream — the
-/// Serial-vs-Pipelined proptests assert it); they differ in how much
-/// concurrency the execution schedule extracts and therefore in
-/// wall-clock, message-delivery stalls, and host-side parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoordinatorMode {
-    /// The oracle path: warehouse-local transactions queue per shard and
-    /// run concurrently, but every cross-shard transaction first
-    /// *flushes* the involved shards' queues (a barrier) and then runs
-    /// its two-phase commit alone — one 2PC in flight at a time,
-    /// message rounds delivered sequentially.
-    Serial,
-    /// Conflict-aware wave scheduling: the stream's keysets
-    /// ([`pushtap_oltp::KeySet`]) build a dependency graph, conflicting
-    /// transactions are ordered by pinned timestamp, and each wave of
-    /// mutually non-conflicting transactions — local *and* cross-shard —
-    /// executes concurrently, with all of a wave's 2PC prepare/vote/
-    /// decide rounds overlapped instead of run one at a time. The
-    /// default.
-    #[default]
-    Pipelined,
-}
-
 /// Configuration of a [`crate::ShardedHtap`] deployment.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -91,11 +65,6 @@ pub struct ShardConfig {
     /// rows are *forwarded* to their owning shard and committed there
     /// under the coordinator's pinned timestamp).
     pub commit: CommitConfig,
-    /// How the coordinator schedules the routed stream:
-    /// [`CoordinatorMode::Pipelined`] (conflict-aware waves, the
-    /// default) or [`CoordinatorMode::Serial`] (the barrier-flush
-    /// oracle).
-    pub mode: CoordinatorMode,
     /// CPU cycles per gathered partial row spent merging scatter-gather
     /// results on the coordinator.
     pub merge_cycles_per_row: u64,
@@ -127,15 +96,8 @@ impl ShardConfig {
                 force_latency: Ps::from_us(2.0),
                 vote_jitter: Ps::from_ns(200.0),
             },
-            mode: CoordinatorMode::default(),
             merge_cycles_per_row: 8,
         }
-    }
-
-    /// The same configuration with a different coordinator mode.
-    pub fn with_mode(mut self, mode: CoordinatorMode) -> ShardConfig {
-        self.mode = mode;
-        self
     }
 }
 

@@ -1,21 +1,8 @@
 //! The transaction coordinator: stream-order execution over the shard
-//! engines, with a simulated two-phase commit for transactions whose
-//! effects span shards — either one 2PC at a time behind a barrier
-//! flush ([`CoordinatorMode::Serial`], the oracle path) or
-//! conflict-aware wave scheduling that overlaps every non-conflicting
-//! transaction ([`CoordinatorMode::Pipelined`], the default).
+//! engines by conflict-aware wave scheduling, with a simulated
+//! two-phase commit for transactions whose effects span shards.
 //!
-//! # The serial oracle
-//!
-//! The original execution model: warehouse-local transactions queue per
-//! home shard and flush in concurrent per-shard runs, but every
-//! cross-shard transaction first drains the involved shards' queues (a
-//! *barrier flush*) and then runs its prepare/vote/decide rounds alone.
-//! Correct, and byte-identical to the unpartitioned reference — but the
-//! hot remote mixes degenerate toward one 2PC at a time exactly when
-//! scale-out matters most.
-//!
-//! # Wave scheduling (the pipelined path)
+//! # Wave scheduling
 //!
 //! [`TpccDb::decompose`](pushtap_oltp::TpccDb::decompose) is read-only
 //! and retry-stable, so every transaction's keyset — rows read, rows
@@ -24,7 +11,7 @@
 //! timestamp-ordered stream into **waves** of mutually non-conflicting
 //! transactions; conflicting pairs always land in timestamp order
 //! across waves, so per-row commit order (and therefore every committed
-//! byte) matches the reference. One wave executes as:
+//! byte) matches the unpartitioned reference. One wave executes as:
 //!
 //! 1. **Decompose** every wave member at its home engine and split the
 //!    effects by owning shard (read-only; wave members touch disjoint
@@ -43,26 +30,24 @@
 //!    committed scopes resolve, aborted scopes replay their pinned undo
 //!    records in reverse.
 //! 5. **Retries** — aborted transactions defragment their no-voting
-//!    shards and re-run serially at the *same* pinned timestamps before
+//!    shards and re-run alone at the *same* pinned timestamps before
 //!    the next wave starts, feeding the engine-level atomic-retry
 //!    machinery. Committed bytes therefore never depend on where or
 //!    when arenas filled up.
 //!
 //! # Timing
 //!
-//! Message rounds are charged per [`CommitConfig`]. Both modes keep the
-//! same *ledger* (`two_pc_time`, `commit_rounds`: one entry per
-//! delivered message), but the clock cost differs: the serial path
-//! delivers rounds one at a time (each hop lands fully on the receiving
-//! shard's clock), while a wave's concurrent deliveries overlap — the
-//! clock advance they actually cause is recorded as
-//! `critical_path_time` (see [`OltpReport`]). All other engine-time
-//! accounting (transaction time, wasted retry latency, defragmentation
-//! pauses) is identical across modes.
+//! Message rounds are charged per [`CommitConfig`]. The *ledger*
+//! (`two_pc_time`, `commit_rounds`) holds one entry per delivered
+//! message. A wave's concurrent deliveries overlap, so the clock
+//! advance they actually cause is recorded separately as
+//! `critical_path_time` (see [`OltpReport`]); a casualty's retry runs
+//! alone and delivers its rounds one at a time, each hop landing fully
+//! on the receiving shard's clock.
 //!
-//! Decision latency uses the **laggard vote-barrier model** in both
-//! modes: the coordinator cannot act before the *slowest* participant's
-//! vote arrives. A participant's vote leaves its shard the instant that
+//! Decision latency uses the **laggard vote-barrier model**: the
+//! coordinator cannot act before the *slowest* participant's vote
+//! arrives. A participant's vote leaves its shard the instant that
 //! *transaction's* prepare finished on its clock (early vote — the
 //! wave's group-commit force overlaps the decision round; the decision
 //! *apply* still lands after the force because the participant's clock
@@ -75,14 +60,9 @@
 //! extra stall lands on `critical_path_time` (and the vote-barrier
 //! stall histogram) while the `two_pc_time` hop ledger — one hop per
 //! delivered message — is unchanged, which is why the stall can exceed
-//! the ledger under a slow participant. The serial/pipelined
-//! comparison stays apples-to-apples: both modes wait for the same
-//! laggard votes, and still differ only in how much delivery overlap
-//! the schedule extracts.
+//! the ledger under a slow participant.
 //!
 //! [`OltpReport`]: pushtap_core::OltpReport
-//! [`CoordinatorMode::Serial`]: crate::CoordinatorMode::Serial
-//! [`CoordinatorMode::Pipelined`]: crate::CoordinatorMode::Pipelined
 
 pub mod schedule;
 
@@ -96,7 +76,7 @@ use pushtap_pim::Ps;
 use pushtap_trace::{Phase, Span};
 use pushtap_wal::{Wal, HEADER_LEN};
 
-use crate::config::{CommitConfig, CoordinatorMode};
+use crate::config::CommitConfig;
 use crate::durability::{encode_decision, CrashSite, DurabilityCtx};
 use crate::partition::WarehouseMap;
 use crate::report::{CoordStats, ShardLoad};
@@ -119,46 +99,38 @@ pub(crate) fn join_worker<T>(h: thread::ScopedJoinHandle<'_, T>) -> T {
 }
 
 /// Executes one globally-ordered routed stream across the shard
-/// engines under the configured coordinator mode, returning each
-/// shard's accumulated load plus the coordinator's scheduling stats.
-/// With a durability context the coordinator logs every prepared
-/// effect set (group-commit forced before votes), writes the decision
-/// log, and honors an armed crash point — a fired crash stops the
-/// stream dead and is reported in [`CoordStats::crashed`].
+/// engines, one conflict-free wave at a time, returning each shard's
+/// accumulated load plus the coordinator's scheduling stats. With a
+/// durability context the coordinator logs every prepared effect set
+/// (group-commit forced before votes), writes the decision log, and
+/// honors an armed crash point — a fired crash stops the stream dead
+/// and is reported in [`CoordStats::crashed`].
 pub(crate) fn execute_stream(
     shards: &mut [Pushtap],
     map: &WarehouseMap,
     stream: Vec<RoutedTxn>,
     commit: CommitConfig,
-    mode: CoordinatorMode,
     mut dur: Option<&mut DurabilityCtx>,
 ) -> (Vec<ShardLoad>, CoordStats) {
     let starts: Vec<Ps> = shards.iter().map(Pushtap::now).collect();
     let mut loads: Vec<ShardLoad> = (0..shards.len()).map(|_| ShardLoad::default()).collect();
-    let mut stats = CoordStats {
-        mode,
-        ..CoordStats::default()
-    };
+    let mut stats = CoordStats::default();
     let decisions_before = dur.as_deref().map(|d| d.decision_log.stats());
-    match mode {
-        CoordinatorMode::Serial => execute_serial(
+    for (w, wave) in schedule::build_waves(stream).into_iter().enumerate() {
+        stats.record_wave(&wave);
+        // Wave ids in spans are 1-based: wave 0 is reserved for 2PCs
+        // that ran alone (a wave casualty's retry).
+        if run_wave(
             shards,
             map,
-            stream,
+            wave,
             commit,
             &mut loads,
-            &mut stats,
+            w as u64 + 1,
             dur.as_deref_mut(),
-        ),
-        CoordinatorMode::Pipelined => execute_pipelined(
-            shards,
-            map,
-            stream,
-            commit,
-            &mut loads,
-            &mut stats,
-            dur.as_deref_mut(),
-        ),
+        ) {
+            break; // the armed crash fired mid-wave
+        }
     }
     if let (Some(d), Some(before)) = (dur.as_deref(), decisions_before) {
         let after = d.decision_log.stats();
@@ -166,17 +138,36 @@ pub(crate) fn execute_stream(
         stats.decision_forces = after.forces - before.forces;
         stats.crashed = d.crashed;
     }
-    for (i, load) in loads.iter_mut().enumerate() {
-        load.elapsed = shards[i].now().saturating_sub(starts[i]);
-        // Drain the engine's GC tally (pass counters plus end-of-batch
-        // live-version / commit-log gauges) into this batch's report.
-        load.report.gc.merge(&shards[i].take_gc_stats());
-    }
+    close_batch(shards, &starts, &mut loads, stats.crashed);
     (loads, stats)
 }
 
+/// Closes a batch: stamps each shard's elapsed clock since `starts`,
+/// drains the engine's GC tally (pass counters plus end-of-batch
+/// live-version / commit-log gauges) into its load, and marks the
+/// shadow tracker's batch boundary — every scope decided, zero prepared
+/// versions lingering. A crashed batch legitimately leaves prepared
+/// scopes behind (recovery resolves them by presumed abort), so the
+/// boundary check is skipped there.
+pub(crate) fn close_batch(
+    shards: &mut [Pushtap],
+    starts: &[Ps],
+    loads: &mut [ShardLoad],
+    crashed: bool,
+) {
+    for ((load, shard), &start) in loads.iter_mut().zip(shards.iter_mut()).zip(starts) {
+        load.elapsed = shard.now().saturating_sub(start);
+        load.report.gc.merge(&shard.take_gc_stats());
+    }
+    let san = shards[0].db().sanitizer();
+    if !crashed && san.enabled() {
+        let pending: u64 = shards.iter().map(|s| s.db().prepared_versions()).sum();
+        san.batch_end(pending);
+    }
+}
+
 // ---------------------------------------------------------------------
-// Durability plumbing shared by both coordinator modes.
+// Durability plumbing.
 // ---------------------------------------------------------------------
 
 /// Appends one prepared effect set to a shard's effect log (volatile
@@ -253,120 +244,6 @@ enum ForceMode {
     TornAt(usize),
 }
 
-// ---------------------------------------------------------------------
-// The serial oracle: per-shard local queues + barrier-flushed 2PCs.
-// ---------------------------------------------------------------------
-
-/// The original execution discipline: local transactions queue per home
-/// shard, every cross-shard transaction flushes the involved shards'
-/// queues and runs its two-phase commit alone.
-fn execute_serial(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    stream: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    stats: &mut CoordStats,
-    mut dur: Option<&mut DurabilityCtx>,
-) {
-    // Each queue entry carries the shard clock at enqueue time, so the
-    // flush can attribute the wait between routing and execution.
-    let mut pending: Vec<Vec<(RoutedTxn, Ps)>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    // Serial crash points are counted in cross-shard 2PCs (1-based).
-    let mut two_pcs = 0u64;
-    for routed in stream {
-        if routed.participants.is_empty() {
-            let home = routed.shard as usize;
-            let enqueued = shards[home].now();
-            pending[home].push((routed, enqueued));
-        } else {
-            // Stream-order discipline: every involved engine applies all
-            // its earlier stream work before this transaction's effects
-            // land (per-row commit timestamps must stay monotone).
-            // Uninvolved shards keep queueing — their rows are disjoint
-            // from this transaction's by ownership.
-            two_pcs += 1;
-            let crash = dur.as_deref().and_then(|d| d.armed_at(two_pcs));
-            if crash == Some(CrashSite::BeforePrepare) {
-                // The kill lands before this 2PC starts: still-queued
-                // local transactions were never logged and die with the
-                // process (their effects were never durable — recovery
-                // correctly omits them).
-                mark_crashed(&mut dur);
-                return;
-            }
-            let mut involved = routed.participants.clone();
-            involved.push(routed.shard);
-            stats.barrier_flushes += 1;
-            let home = &shards[routed.shard as usize];
-            if home.trace_enabled() {
-                home.trace_record(Span::instant(
-                    home.trace_track(),
-                    Phase::Barrier,
-                    routed.ts.0,
-                    home.now().ps(),
-                ));
-            }
-            flush(
-                shards,
-                &mut pending,
-                loads,
-                Some(&involved),
-                dur.as_deref_mut(),
-            );
-            if two_phase_commit(
-                shards,
-                map,
-                &routed,
-                commit,
-                loads,
-                0,
-                dur.as_deref_mut(),
-                crash,
-            ) {
-                return; // the armed crash fired mid-2PC
-            }
-        }
-    }
-    flush(shards, &mut pending, loads, None, dur);
-}
-
-/// Drains the pending warehouse-local queues of the selected shards
-/// (all shards when `only` is `None`), one OS thread per non-empty
-/// queue, and folds the partial loads into `loads`.
-fn flush(
-    shards: &mut [Pushtap],
-    pending: &mut [Vec<(RoutedTxn, Ps)>],
-    loads: &mut [ShardLoad],
-    only: Option<&[u32]>,
-    dur: Option<&mut DurabilityCtx>,
-) {
-    let force_latency = dur.as_ref().map_or(Ps::ZERO, |d| d.force_latency);
-    let mut wals: Vec<Option<&mut Wal>> = match dur {
-        Some(d) => d.logs.iter_mut().map(Some).collect(),
-        None => shards.iter().map(|_| None).collect(),
-    };
-    let results: Vec<(usize, ShardLoad)> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .zip(pending.iter_mut())
-            .zip(wals.iter_mut())
-            .enumerate()
-            .filter(|(i, _)| only.is_none_or(|set| set.contains(&(*i as u32))))
-            .filter(|(_, ((_, queue), _))| !queue.is_empty())
-            .map(|(i, ((shard, queue), wal))| {
-                let bucket = std::mem::take(queue);
-                let wal = wal.as_deref_mut();
-                scope.spawn(move || (i, run_local_bucket(shard, bucket, wal, force_latency)))
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    for (i, partial) in results {
-        merge_load(&mut loads[i], partial);
-    }
-}
-
 /// Folds one thread's partial load into a shard's batch load.
 fn merge_load(into: &mut ShardLoad, partial: ShardLoad) {
     into.routed += partial.routed;
@@ -375,116 +252,11 @@ fn merge_load(into: &mut ShardLoad, partial: ShardLoad) {
     into.report.merge(&partial.report);
 }
 
-/// Executes one shard's queued warehouse-local transactions, each under
-/// its pinned stream-order timestamp (a `DeltaFull` retry re-runs under
-/// the same timestamp). Each entry's enqueue clock feeds the queue-wait
-/// histogram: later entries wait out the bucket's earlier work.
-fn run_local_bucket(
-    shard: &mut Pushtap,
-    bucket: Vec<(RoutedTxn, Ps)>,
-    mut wal: Option<&mut Wal>,
-    force_latency: Ps,
-) -> ShardLoad {
-    let mut load = ShardLoad::default();
-    for (routed, enqueued) in bucket {
-        debug_assert!(
-            routed.participants.is_empty(),
-            "cross-shard transaction queued as local"
-        );
-        let wait = shard.now().saturating_sub(enqueued);
-        load.report.queue_wait.record(wait.ps());
-        if wait > Ps::ZERO && shard.trace_enabled() {
-            shard.trace_record(Span::new(
-                shard.trace_track(),
-                Phase::Queued,
-                routed.ts.0,
-                enqueued.ps(),
-                shard.now().ps(),
-            ));
-        }
-        run_local_txn(shard, &routed, &mut load, false, wal.as_deref_mut());
-    }
-    // One group-commit force amortized over the whole bucket: the
-    // bucket's records become durable (and its transactions recoverable)
-    // together.
-    if let Some(w) = wal {
-        wal_force(w, &mut load, shard, force_latency, 0);
-    }
-    load
-}
-
-/// Executes one warehouse-local transaction through the engine's
-/// defragment-and-retry loop, folding the outcome into `load`.
-/// `was_retried` marks a transaction whose first (wave) attempt already
-/// aborted, so it counts as retried even if this run commits cleanly.
-///
-/// With a log, the transaction's effect record is appended (pending —
-/// the *caller* owns the group-commit force barrier, amortizing it over
-/// its bucket or wave). `decompose` is retry-stable, so the record
-/// logged up front equals what the engine commits even if it had to
-/// defragment and retry in between.
-fn run_local_txn(
-    shard: &mut Pushtap,
-    routed: &RoutedTxn,
-    load: &mut ShardLoad,
-    was_retried: bool,
-    wal: Option<&mut Wal>,
-) {
-    let before = shard.now();
-    if let Some(w) = wal {
-        let effects = shard.db().decompose(&routed.txn, routed.ts);
-        wal_append(
-            w,
-            load,
-            shard,
-            routed.ts,
-            TxnRole::Coordinator,
-            false,
-            &effects,
-            0,
-        );
-    }
-    if was_retried && shard.trace_enabled() {
-        shard.trace_record(Span::instant(
-            shard.trace_track(),
-            Phase::Retry,
-            routed.ts.0,
-            before.ps(),
-        ));
-    }
-    {
-        let san = shard.db().sanitizer();
-        if san.enabled() {
-            san.begin_execution(routed.shard, routed.ts.0, shard.now().ps());
-        }
-    }
-    let aborts_before = shard.db().aborts();
-    let wasted_before = shard.db().wasted_retry_time();
-    let (result, pauses) = shard.execute_txn_at(&routed.txn, routed.ts);
-    load.routed += 1;
-    load.report.committed += 1;
-    let aborted = shard.db().aborts() - aborts_before;
-    load.report.aborts += aborted;
-    if aborted > 0 || was_retried {
-        load.report.retried_txns += 1;
-    }
-    charge_maintenance(load, pauses);
-    load.report.wasted_retry_time += shard.db().wasted_retry_time().saturating_sub(wasted_before);
-    load.report.txn_time += shard
-        .now()
-        .saturating_sub(before)
-        .saturating_sub(pauses.total());
-    load.report.breakdown.merge(&result.breakdown);
-    load.report
-        .commit_latency
-        .record(shard.now().saturating_sub(before).ps());
-}
-
-/// Charges one serially-delivered 2PC message round (exactly one hop of
+/// Charges one 2PC message round delivered alone (exactly one hop of
 /// latency) to a shard's clock and its load accounting, so
 /// `commit_rounds` counts message deliveries in uniform units on every
-/// shard. Sequential delivery means the full hop lands on the critical
-/// path.
+/// shard. Nothing overlaps a lone delivery, so the full hop lands on
+/// the critical path.
 fn charge_hop(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps) {
     if hop > Ps::ZERO {
         shard.advance(hop);
@@ -500,7 +272,7 @@ fn charge_hop(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps) {
 /// dispatched together with the rest of its wave, so the engine stalls
 /// only until the arrival time (zero if it is still busy with earlier
 /// wave work). The ledger (`two_pc_time`, `commit_rounds`) counts the
-/// full hop like the serial path; the clock and `critical_path_time`
+/// full hop like [`charge_hop`]; the clock and `critical_path_time`
 /// record only the stall actually caused.
 fn deliver(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps, arrive_at: Ps) {
     let wait = arrive_at.saturating_sub(shard.now());
@@ -600,328 +372,8 @@ fn decompose_split(
     (local, forwarded)
 }
 
-/// Runs one cross-shard transaction as a serially-delivered two-phase
-/// commit, retrying (under the same pinned timestamp) until every
-/// participant votes yes. `prior_attempts` counts attempts already made
-/// by a pipelined wave, so a transaction the wave aborted still counts
-/// as retried when this run commits on its first try.
-///
-/// With a durability context, every successful prepare appends its
-/// effect record, the involved logs force (home first, participants
-/// ascending) once all votes are yes — *before* the decision round —
-/// and the commit decision is appended to the decision log and forced
-/// before any engine commits. `crash` injects a kill at the given site
-/// the first time it is reached; returns `true` if the kill fired (the
-/// caller must stop the stream dead).
-#[allow(clippy::too_many_arguments)]
-fn two_phase_commit(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    routed: &RoutedTxn,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    prior_attempts: u64,
-    mut dur: Option<&mut DurabilityCtx>,
-    crash: Option<CrashSite>,
-) -> bool {
-    let home = routed.shard as usize;
-    let ts = routed.ts;
-
-    // Periodic maintenance (GC first, defragmentation as the fallback)
-    // runs between transactions — never while any scope is open.
-    charge_maintenance(&mut loads[home], shards[home].defrag_if_due());
-
-    let (local, forwarded) = decompose_split(shards, map, routed);
-
-    // Submitter-perceived latency starts here: every retry loop below
-    // (and its defragmentation) is part of what this transaction waited.
-    let start = shards[home].now();
-    let mut attempts = prior_attempts;
-    loop {
-        if attempts > 0 && shards[home].trace_enabled() {
-            // This iteration re-runs an aborted attempt (a wave casualty
-            // or an earlier loop of ours).
-            let s = &shards[home];
-            s.trace_record(Span::instant(
-                s.trace_track(),
-                Phase::Retry,
-                ts.0,
-                s.now().ps(),
-            ));
-        }
-        attempts += 1;
-        {
-            let san = shards[home].db().sanitizer();
-            if san.enabled() {
-                san.begin_execution(routed.shard, ts.0, shards[home].now().ps());
-            }
-        }
-        // Phase 1a: the home half prepares its owned effects.
-        let home_result = charge_engine(&mut loads[home], &mut shards[home], |s| {
-            s.prepare_effects_at(&local, ts)
-        });
-        let home_result = match home_result {
-            Ok(r) => {
-                loads[home].report.prepared_txns += 1;
-                if let Some(d) = dur.as_deref_mut() {
-                    wal_append(
-                        &mut d.logs[home],
-                        &mut loads[home],
-                        &shards[home],
-                        ts,
-                        TxnRole::Coordinator,
-                        true,
-                        &local,
-                        0,
-                    );
-                }
-                r
-            }
-            Err(_full) => {
-                // Home voted no before anything was forwarded: its
-                // partial effects are already rolled back; reclaim its
-                // arenas and retry the whole transaction.
-                loads[home].report.aborts += 1;
-                charge_maintenance(&mut loads[home], shards[home].reclaim_now());
-                continue;
-            }
-        };
-
-        // Phase 1b: forward each participant its owned effect subset (a
-        // prepare round delivers it) and collect votes.
-        let mut prepared: Vec<(usize, Breakdown)> = Vec::new();
-        let mut vote_no: Option<usize> = None;
-        for (&p, effs) in &forwarded {
-            charge_hop(&mut loads[p], &mut shards[p], commit.prepare_hop);
-            {
-                let san = shards[p].db().sanitizer();
-                if san.enabled() {
-                    san.begin_execution(p as u32, ts.0, shards[p].now().ps());
-                }
-            }
-            let r = charge_engine(&mut loads[p], &mut shards[p], |s| {
-                s.prepare_effects_at(effs, ts)
-            });
-            match r {
-                Ok(r) => {
-                    loads[p].report.prepared_txns += 1;
-                    loads[p].report.forwarded_effects += effs.len() as u64;
-                    if let Some(d) = dur.as_deref_mut() {
-                        wal_append(
-                            &mut d.logs[p],
-                            &mut loads[p],
-                            &shards[p],
-                            ts,
-                            TxnRole::Participant,
-                            true,
-                            effs,
-                            0,
-                        );
-                    }
-                    prepared.push((p, r.breakdown));
-                }
-                Err(_full) => {
-                    loads[p].report.aborts += 1;
-                    vote_no = Some(p);
-                    break;
-                }
-            }
-        }
-
-        // The kill after the prepares (and their pending appends) but
-        // before any force barrier: every record of this 2PC evaporates
-        // with the process.
-        if crash == Some(CrashSite::AfterPrepare) {
-            mark_crashed(&mut dur);
-            return true;
-        }
-
-        if let Some(no_shard) = vote_no {
-            // Phase 2, abort decision: the home half and every prepared
-            // participant roll their pinned effects back (the decision
-            // round is charged like a commit would be), and the
-            // coordinator pays the same message round-trip it would on
-            // a commit — the prepares went out and the "no" vote had to
-            // come back, failed rounds are not free. The prepare's
-            // latency lands in wasted retry time — the clock already
-            // covered the work, now thrown away. The voting shard's
-            // arenas are reclaimed, then the whole transaction retries
-            // under the same timestamp.
-            if let Some(d) = dur.as_deref_mut() {
-                // Withdraw the attempt's never-forced records: the
-                // involved logs hold nothing else pending (buckets force
-                // before a 2PC starts), so the discard is exact.
-                d.logs[home].discard_pending();
-                for &p in forwarded.keys() {
-                    d.logs[p].discard_pending();
-                }
-            }
-            // Laggard vote barrier: the abort decision waits for the
-            // slowest vote — each voter's shard clock plus one
-            // prepare-hop and its deterministic skew (the "no" voter's
-            // vote included). The home's own round-trip floors the
-            // wait, so the stall is never cheaper than the uncoupled
-            // model's fixed round-trip.
-            let vb_start = shards[home].now();
-            let mut vote_at = vb_start + commit.prepare_hop;
-            for &(q, _) in &prepared {
-                vote_at = vote_at.max(
-                    shards[q].now()
-                        + commit.prepare_hop
-                        + vote_skew(commit.vote_jitter, q as u32, ts),
-                );
-            }
-            vote_at = vote_at.max(
-                shards[no_shard].now()
-                    + commit.prepare_hop
-                    + vote_skew(commit.vote_jitter, no_shard as u32, ts),
-            );
-            deliver(
-                &mut loads[home],
-                &mut shards[home],
-                commit.prepare_hop,
-                vote_at,
-            );
-            charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
-            if shards[home].trace_enabled() {
-                let s = &shards[home];
-                s.trace_record(Span::new(
-                    s.trace_track(),
-                    Phase::VoteBarrier,
-                    ts.0,
-                    vb_start.ps(),
-                    s.now().ps(),
-                ));
-            }
-            charge_engine(&mut loads[home], &mut shards[home], |s| {
-                s.abort_prepared(ts)
-            });
-            loads[home].report.aborts += 1;
-            loads[home].report.participant_aborts += 1;
-            for &(q, _) in &prepared {
-                charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
-                charge_engine(&mut loads[q], &mut shards[q], |s| s.abort_prepared(ts));
-                loads[q].report.aborts += 1;
-                loads[q].report.participant_aborts += 1;
-            }
-            charge_maintenance(&mut loads[no_shard], shards[no_shard].reclaim_now());
-            continue;
-        }
-
-        // Every vote is yes: each involved shard forces its effect log
-        // (home first, then participants ascending) before its vote may
-        // reach the coordinator — a shard never votes yes on records a
-        // crash could still lose. MidEffectFlush kills the process with
-        // the last involved log torn mid-record and the earlier ones
-        // fully durable.
-        if let Some(d) = dur.as_deref_mut() {
-            let latency = d.force_latency;
-            let mut involved: Vec<usize> = vec![home];
-            involved.extend(forwarded.keys().copied());
-            // `involved` starts from `home`, so it is never empty.
-            let last = *involved.last().unwrap_or(&home);
-            for &i in &involved {
-                if crash == Some(CrashSite::MidEffectFlush) && i == last {
-                    let half = d.logs[i].pending_len() / 2;
-                    d.logs[i].force_torn(half);
-                    d.crashed = true;
-                    return true;
-                }
-                wal_force(&mut d.logs[i], &mut loads[i], &mut shards[i], latency, 0);
-            }
-        }
-
-        // Phase 2, commit decision: the coordinator waits out the
-        // laggard vote barrier — the decision round-trip still counts
-        // as two ledger rounds (one prepare-delivery out, one
-        // vote/decision back), but the stall waits for the *slowest*
-        // participant's vote: its shard clock (prepare work and WAL
-        // force included) plus one prepare-hop and its deterministic
-        // skew, floored by the home's own round-trip. Then every
-        // engine commits at the pinned timestamp (metadata-only —
-        // prepare already flushed).
-        let vb_start = shards[home].now();
-        let mut vote_at = vb_start + commit.prepare_hop;
-        for &(q, _) in &prepared {
-            vote_at = vote_at.max(
-                shards[q].now() + commit.prepare_hop + vote_skew(commit.vote_jitter, q as u32, ts),
-            );
-        }
-        deliver(
-            &mut loads[home],
-            &mut shards[home],
-            commit.prepare_hop,
-            vote_at,
-        );
-        charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
-        if shards[home].trace_enabled() {
-            let s = &shards[home];
-            s.trace_record(Span::new(
-                s.trace_track(),
-                Phase::VoteBarrier,
-                ts.0,
-                vb_start.ps(),
-                s.now().ps(),
-            ));
-        }
-        // The commit decision becomes durable before any engine acts on
-        // it: append `Commit(ts)` and force the decision log. Recovery
-        // presumes abort for any prepared cross-shard scope the decision
-        // log does not vouch for.
-        if let Some(d) = dur.as_deref_mut() {
-            if crash == Some(CrashSite::BetweenVoteAndDecision) {
-                d.crashed = true;
-                return true;
-            }
-            d.decision_log.append(&encode_decision(ts));
-            if crash == Some(CrashSite::MidDecisionLogWrite) {
-                let half = d.decision_log.pending_len() / 2;
-                d.decision_log.force_torn(half);
-                d.crashed = true;
-                return true;
-            }
-            d.decision_log.force();
-            if crash == Some(CrashSite::AfterDecision) {
-                d.crashed = true;
-                return true;
-            }
-        }
-        shards[home].commit_prepared(ts, TxnRole::Coordinator);
-        loads[home].routed += 1;
-        loads[home].report.committed += 1;
-        loads[home].report.breakdown.merge(&home_result.breakdown);
-        loads[home].remote_touches += routed.remote;
-        loads[home]
-            .report
-            .commit_latency
-            .record(shards[home].now().saturating_sub(start).ps());
-        if shards[home].trace_enabled() {
-            // The whole serial 2PC as one span: wave 0 marks a 2PC that
-            // ran alone (barrier-flushed or a wave casualty's retry), so
-            // overlap analysis never counts it.
-            let s = &shards[home];
-            s.trace_record(Span::new(
-                s.trace_track(),
-                Phase::TwoPc,
-                ts.0,
-                start.ps(),
-                s.now().ps(),
-            ));
-        }
-        if attempts > 1 {
-            loads[home].report.retried_txns += 1;
-        }
-        for (q, breakdown) in prepared {
-            charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
-            shards[q].commit_prepared(ts, TxnRole::Participant);
-            loads[q].report.breakdown.merge(&breakdown);
-        }
-        return false;
-    }
-}
-
 // ---------------------------------------------------------------------
-// The pipelined path: conflict-aware waves with overlapped 2PC rounds.
+// Wave execution: conflict-free waves with overlapped 2PC rounds.
 // ---------------------------------------------------------------------
 
 /// One shard's share of a wave: an effect set to prepare at a pinned
@@ -939,46 +391,6 @@ struct WaveItem {
     cross: bool,
     /// The effects this shard owns.
     effects: Vec<TaggedEffect>,
-}
-
-/// Wave scheduling + execution: cut the stream into conflict-free
-/// waves, run each wave's prepares and decisions concurrently across
-/// shards with overlapped message deliveries, retry wave casualties
-/// serially before the next wave.
-fn execute_pipelined(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    stream: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    stats: &mut CoordStats,
-    mut dur: Option<&mut DurabilityCtx>,
-) {
-    let waves = schedule::build_waves(stream);
-    stats.waves = waves.len() as u64;
-    for (w, wave) in waves.into_iter().enumerate() {
-        stats.max_wave = stats.max_wave.max(wave.len() as u64);
-        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
-        // Every cross-shard 2PC of a wave with at least two of them ran
-        // concurrently with another (a wave aborted and retried serially
-        // still overlapped on its wave attempt).
-        if cross >= 2 {
-            stats.overlapped_two_pcs += cross;
-        }
-        // Wave ids in spans are 1-based: wave 0 is reserved for 2PCs
-        // that ran alone (the serial path).
-        if run_wave(
-            shards,
-            map,
-            wave,
-            commit,
-            loads,
-            w as u64 + 1,
-            dur.as_deref_mut(),
-        ) {
-            return; // the armed crash fired mid-wave
-        }
-    }
 }
 
 /// Executes one wave dispatched by the open-loop front-end
@@ -1003,12 +415,7 @@ pub(crate) fn execute_open_wave(
     wave_id: u64,
     sojourn: &mut pushtap_trace::Histogram,
 ) {
-    stats.waves += 1;
-    stats.max_wave = stats.max_wave.max(wave.len() as u64);
-    let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
-    if cross >= 2 {
-        stats.overlapped_two_pcs += cross;
-    }
+    stats.record_wave(&wave);
     let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
     for shard in shards.iter_mut() {
         let wait = gate.saturating_sub(shard.now());
@@ -1069,7 +476,7 @@ fn run_wave(
     // shares one sanitizer): members of the same wave overlap, so the
     // tracker can lockset-check that the scheduler really kept their
     // key footprints disjoint. Wave ids are 1-based here; 0 is the
-    // tracker's "solo/serial" wave, which is never cross-checked.
+    // tracker's "solo" wave, which is never cross-checked.
     {
         let san = shards[0].db().sanitizer();
         if san.enabled() {
@@ -1080,8 +487,7 @@ fn run_wave(
     }
     // Step 1: decompose every member at its home engine and build each
     // shard's timestamp-ordered item list. Wave members touch disjoint
-    // rows and rings, so decomposition order is irrelevant and the
-    // splits equal what the serial path would compute.
+    // rows and rings, so decomposition order is irrelevant.
     let mut items: Vec<Vec<WaveItem>> = (0..shards.len()).map(|_| Vec::new()).collect();
     for (i, routed) in wave.iter().enumerate() {
         let (local, forwarded) = decompose_split(shards, map, routed);
@@ -1468,7 +874,7 @@ fn run_wave(
         merge_load(&mut loads[i], partial);
     }
 
-    // Step 5: retries — aborted transactions re-run serially at their
+    // Step 5: retries — aborted transactions re-run alone at their
     // pinned timestamps before the next wave. Every scope of this wave
     // is resolved by now, so reclaiming the no-voting shards' arenas
     // (GC first, defragmentation as the fallback) is safe; the retried
@@ -1484,31 +890,365 @@ fn run_wave(
         if routed.participants.is_empty() {
             let home = routed.shard as usize;
             let wal = dur.as_deref_mut().map(|d| &mut d.logs[home]);
-            run_local_txn(&mut shards[home], routed, &mut loads[home], true, wal);
-            // A retry runs alone, so its record forces alone — no wave
-            // to amortize the barrier over.
-            if let Some(d) = dur.as_deref_mut() {
-                wal_force(
-                    &mut d.logs[home],
-                    &mut loads[home],
-                    &mut shards[home],
-                    force_latency,
-                    wave_id,
-                );
-            }
-        } else {
-            let crashed = two_phase_commit(
-                shards,
-                map,
+            retry_local_txn(
+                &mut shards[home],
                 routed,
-                commit,
-                loads,
-                1,
-                dur.as_deref_mut(),
-                None,
+                &mut loads[home],
+                wal,
+                force_latency,
+                wave_id,
             );
-            debug_assert!(!crashed, "an unarmed 2PC cannot crash");
+        } else {
+            retry_two_phase_commit(shards, map, routed, commit, loads, dur.as_deref_mut());
         }
     }
     false
+}
+
+// ---------------------------------------------------------------------
+// Wave casualties, retried alone after their wave (step 5).
+// ---------------------------------------------------------------------
+
+/// Re-runs one warehouse-local wave casualty alone through the engine's
+/// defragment-and-retry loop, folding the outcome into `load`. It
+/// counts as retried even if this run commits cleanly: its wave attempt
+/// already aborted.
+///
+/// With a log, the transaction's effect record is appended and then
+/// forced alone — a retry has no wave to amortize the barrier over.
+/// `decompose` is retry-stable, so the record logged up front equals
+/// what the engine commits even if it had to defragment and retry in
+/// between.
+fn retry_local_txn(
+    shard: &mut Pushtap,
+    routed: &RoutedTxn,
+    load: &mut ShardLoad,
+    mut wal: Option<&mut Wal>,
+    force_latency: Ps,
+    wave_id: u64,
+) {
+    let before = shard.now();
+    if let Some(w) = wal.as_deref_mut() {
+        let effects = shard.db().decompose(&routed.txn, routed.ts);
+        wal_append(
+            w,
+            load,
+            shard,
+            routed.ts,
+            TxnRole::Coordinator,
+            false,
+            &effects,
+            0,
+        );
+    }
+    if shard.trace_enabled() {
+        shard.trace_record(Span::instant(
+            shard.trace_track(),
+            Phase::Retry,
+            routed.ts.0,
+            before.ps(),
+        ));
+    }
+    {
+        let san = shard.db().sanitizer();
+        if san.enabled() {
+            san.begin_execution(routed.shard, routed.ts.0, shard.now().ps());
+        }
+    }
+    let aborts_before = shard.db().aborts();
+    let wasted_before = shard.db().wasted_retry_time();
+    let (result, pauses) = shard.execute_txn_at(&routed.txn, routed.ts);
+    load.routed += 1;
+    load.report.committed += 1;
+    load.report.aborts += shard.db().aborts() - aborts_before;
+    load.report.retried_txns += 1;
+    charge_maintenance(load, pauses);
+    load.report.wasted_retry_time += shard.db().wasted_retry_time().saturating_sub(wasted_before);
+    load.report.txn_time += shard
+        .now()
+        .saturating_sub(before)
+        .saturating_sub(pauses.total());
+    load.report.breakdown.merge(&result.breakdown);
+    load.report
+        .commit_latency
+        .record(shard.now().saturating_sub(before).ps());
+    if let Some(w) = wal {
+        wal_force(w, load, shard, force_latency, wave_id);
+    }
+}
+
+/// Re-runs one cross-shard wave casualty alone as a two-phase commit
+/// whose rounds are delivered one at a time, retrying (under the same
+/// pinned timestamp) until every participant votes yes. Every attempt
+/// is a retry — the wave attempt already aborted — so the transaction
+/// counts as retried even when this run commits on its first try.
+///
+/// With a durability context, every successful prepare appends its
+/// effect record, the involved logs force (home first, participants
+/// ascending) once all votes are yes — *before* the decision round —
+/// and the commit decision is appended to the decision log and forced
+/// before any engine commits. A crash point arms whole waves only, so
+/// no kill fires here.
+fn retry_two_phase_commit(
+    shards: &mut [Pushtap],
+    map: &WarehouseMap,
+    routed: &RoutedTxn,
+    commit: CommitConfig,
+    loads: &mut [ShardLoad],
+    mut dur: Option<&mut DurabilityCtx>,
+) {
+    let home = routed.shard as usize;
+    let ts = routed.ts;
+
+    // Periodic maintenance (GC first, defragmentation as the fallback)
+    // runs between transactions — never while any scope is open.
+    charge_maintenance(&mut loads[home], shards[home].defrag_if_due());
+
+    let (local, forwarded) = decompose_split(shards, map, routed);
+
+    // Submitter-perceived latency starts here: every retry loop below
+    // (and its defragmentation) is part of what this transaction waited.
+    let start = shards[home].now();
+    loop {
+        if shards[home].trace_enabled() {
+            let s = &shards[home];
+            s.trace_record(Span::instant(
+                s.trace_track(),
+                Phase::Retry,
+                ts.0,
+                s.now().ps(),
+            ));
+        }
+        {
+            let san = shards[home].db().sanitizer();
+            if san.enabled() {
+                san.begin_execution(routed.shard, ts.0, shards[home].now().ps());
+            }
+        }
+        // Phase 1a: the home half prepares its owned effects.
+        let home_result = charge_engine(&mut loads[home], &mut shards[home], |s| {
+            s.prepare_effects_at(&local, ts)
+        });
+        let home_result = match home_result {
+            Ok(r) => {
+                loads[home].report.prepared_txns += 1;
+                if let Some(d) = dur.as_deref_mut() {
+                    wal_append(
+                        &mut d.logs[home],
+                        &mut loads[home],
+                        &shards[home],
+                        ts,
+                        TxnRole::Coordinator,
+                        true,
+                        &local,
+                        0,
+                    );
+                }
+                r
+            }
+            Err(_full) => {
+                // Home voted no before anything was forwarded: its
+                // partial effects are already rolled back; reclaim its
+                // arenas and retry the whole transaction.
+                loads[home].report.aborts += 1;
+                charge_maintenance(&mut loads[home], shards[home].reclaim_now());
+                continue;
+            }
+        };
+
+        // Phase 1b: forward each participant its owned effect subset (a
+        // prepare round delivers it) and collect votes.
+        let mut prepared: Vec<(usize, Breakdown)> = Vec::new();
+        let mut vote_no: Option<usize> = None;
+        for (&p, effs) in &forwarded {
+            charge_hop(&mut loads[p], &mut shards[p], commit.prepare_hop);
+            {
+                let san = shards[p].db().sanitizer();
+                if san.enabled() {
+                    san.begin_execution(p as u32, ts.0, shards[p].now().ps());
+                }
+            }
+            let r = charge_engine(&mut loads[p], &mut shards[p], |s| {
+                s.prepare_effects_at(effs, ts)
+            });
+            match r {
+                Ok(r) => {
+                    loads[p].report.prepared_txns += 1;
+                    loads[p].report.forwarded_effects += effs.len() as u64;
+                    if let Some(d) = dur.as_deref_mut() {
+                        wal_append(
+                            &mut d.logs[p],
+                            &mut loads[p],
+                            &shards[p],
+                            ts,
+                            TxnRole::Participant,
+                            true,
+                            effs,
+                            0,
+                        );
+                    }
+                    prepared.push((p, r.breakdown));
+                }
+                Err(_full) => {
+                    loads[p].report.aborts += 1;
+                    vote_no = Some(p);
+                    break;
+                }
+            }
+        }
+
+        if let Some(no_shard) = vote_no {
+            // Phase 2, abort decision: the home half and every prepared
+            // participant roll their pinned effects back (the decision
+            // round is charged like a commit would be), and the
+            // coordinator pays the same message round-trip it would on
+            // a commit — the prepares went out and the "no" vote had to
+            // come back, failed rounds are not free. The prepare's
+            // latency lands in wasted retry time — the clock already
+            // covered the work, now thrown away. The voting shard's
+            // arenas are reclaimed, then the whole transaction retries
+            // under the same timestamp.
+            if let Some(d) = dur.as_deref_mut() {
+                // Withdraw the attempt's never-forced records: the
+                // involved logs hold nothing else pending (the wave's
+                // group commit and every earlier retry forced theirs),
+                // so the discard is exact.
+                d.logs[home].discard_pending();
+                for &p in forwarded.keys() {
+                    d.logs[p].discard_pending();
+                }
+            }
+            // Laggard vote barrier: the abort decision waits for the
+            // slowest vote — each voter's shard clock plus one
+            // prepare-hop and its deterministic skew (the "no" voter's
+            // vote included). The home's own round-trip floors the
+            // wait, so the stall is never cheaper than the uncoupled
+            // model's fixed round-trip.
+            let vb_start = shards[home].now();
+            let mut vote_at = vb_start + commit.prepare_hop;
+            for &(q, _) in &prepared {
+                vote_at = vote_at.max(
+                    shards[q].now()
+                        + commit.prepare_hop
+                        + vote_skew(commit.vote_jitter, q as u32, ts),
+                );
+            }
+            vote_at = vote_at.max(
+                shards[no_shard].now()
+                    + commit.prepare_hop
+                    + vote_skew(commit.vote_jitter, no_shard as u32, ts),
+            );
+            deliver(
+                &mut loads[home],
+                &mut shards[home],
+                commit.prepare_hop,
+                vote_at,
+            );
+            charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
+            if shards[home].trace_enabled() {
+                let s = &shards[home];
+                s.trace_record(Span::new(
+                    s.trace_track(),
+                    Phase::VoteBarrier,
+                    ts.0,
+                    vb_start.ps(),
+                    s.now().ps(),
+                ));
+            }
+            charge_engine(&mut loads[home], &mut shards[home], |s| {
+                s.abort_prepared(ts)
+            });
+            loads[home].report.aborts += 1;
+            loads[home].report.participant_aborts += 1;
+            for &(q, _) in &prepared {
+                charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
+                charge_engine(&mut loads[q], &mut shards[q], |s| s.abort_prepared(ts));
+                loads[q].report.aborts += 1;
+                loads[q].report.participant_aborts += 1;
+            }
+            charge_maintenance(&mut loads[no_shard], shards[no_shard].reclaim_now());
+            continue;
+        }
+
+        // Every vote is yes: each involved shard forces its effect log
+        // (home first, then participants ascending) before its vote may
+        // reach the coordinator — a shard never votes yes on records a
+        // crash could still lose.
+        if let Some(d) = dur.as_deref_mut() {
+            let latency = d.force_latency;
+            for i in std::iter::once(home).chain(forwarded.keys().copied()) {
+                wal_force(&mut d.logs[i], &mut loads[i], &mut shards[i], latency, 0);
+            }
+        }
+
+        // Phase 2, commit decision: the coordinator waits out the
+        // laggard vote barrier — the decision round-trip still counts
+        // as two ledger rounds (one prepare-delivery out, one
+        // vote/decision back), but the stall waits for the *slowest*
+        // participant's vote: its shard clock (prepare work and WAL
+        // force included) plus one prepare-hop and its deterministic
+        // skew, floored by the home's own round-trip. Then every
+        // engine commits at the pinned timestamp (metadata-only —
+        // prepare already flushed).
+        let vb_start = shards[home].now();
+        let mut vote_at = vb_start + commit.prepare_hop;
+        for &(q, _) in &prepared {
+            vote_at = vote_at.max(
+                shards[q].now() + commit.prepare_hop + vote_skew(commit.vote_jitter, q as u32, ts),
+            );
+        }
+        deliver(
+            &mut loads[home],
+            &mut shards[home],
+            commit.prepare_hop,
+            vote_at,
+        );
+        charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
+        if shards[home].trace_enabled() {
+            let s = &shards[home];
+            s.trace_record(Span::new(
+                s.trace_track(),
+                Phase::VoteBarrier,
+                ts.0,
+                vb_start.ps(),
+                s.now().ps(),
+            ));
+        }
+        // The commit decision becomes durable before any engine acts on
+        // it: append `Commit(ts)` and force the decision log. Recovery
+        // presumes abort for any prepared cross-shard scope the decision
+        // log does not vouch for.
+        if let Some(d) = dur.as_deref_mut() {
+            d.decision_log.append(&encode_decision(ts));
+            d.decision_log.force();
+        }
+        shards[home].commit_prepared(ts, TxnRole::Coordinator);
+        loads[home].routed += 1;
+        loads[home].report.committed += 1;
+        loads[home].report.breakdown.merge(&home_result.breakdown);
+        loads[home].remote_touches += routed.remote;
+        loads[home]
+            .report
+            .commit_latency
+            .record(shards[home].now().saturating_sub(start).ps());
+        if shards[home].trace_enabled() {
+            // The whole retried 2PC as one span: wave 0 marks a 2PC
+            // that ran alone, so overlap analysis never counts it.
+            let s = &shards[home];
+            s.trace_record(Span::new(
+                s.trace_track(),
+                Phase::TwoPc,
+                ts.0,
+                start.ps(),
+                s.now().ps(),
+            ));
+        }
+        loads[home].report.retried_txns += 1;
+        for (q, breakdown) in prepared {
+            charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
+            shards[q].commit_prepared(ts, TxnRole::Participant);
+            loads[q].report.breakdown.merge(&breakdown);
+        }
+        return;
+    }
 }

@@ -9,8 +9,8 @@
 //! subset on that shard as an [`EffectRecord`](pushtap_oltp::EffectRecord)
 //! — volatile until the
 //! next **group-commit force**. The force barrier runs once per wave
-//! per involved shard (pipelined) or per two-phase commit / local
-//! bucket (serial), *before* the shard's votes reach the coordinator:
+//! per involved shard (and once more per involved shard of each wave
+//! casualty's retry), *before* the shard's votes reach the coordinator:
 //! a shard never votes yes on records a crash could still lose.
 //!
 //! Cross-shard transactions additionally need the coordinator's
@@ -31,11 +31,11 @@
 //! # Crash points
 //!
 //! A [`CrashPoint`] arms an in-process simulated kill at one of six
-//! [`CrashSite`]s of the `event`-th wave (pipelined) or cross-shard
-//! two-phase commit (serial). The coordinator stops dead at the site —
-//! pending log bytes evaporate, forced bytes survive — and the service
-//! refuses further batches; a test then harvests the durable bytes and
-//! recovers them into a fresh deployment
+//! [`CrashSite`]s of the `event`-th wave (a casualty's retry belongs to
+//! its wave and is never a kill site). The coordinator stops dead at
+//! the site — pending log bytes evaporate, forced bytes survive — and
+//! the service refuses further batches; a test then harvests the
+//! durable bytes and recovers them into a fresh deployment
 //! ([`ShardedHtap::recover`](crate::ShardedHtap::recover)).
 
 use pushtap_mvcc::Ts;
@@ -45,8 +45,8 @@ use pushtap_wal::{Wal, WalTrim};
 /// Where in the commit protocol an armed crash kills the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// Before the target wave / two-phase commit starts: nothing of it
-    /// is logged or applied.
+    /// Before the target wave starts: nothing of it is logged or
+    /// applied.
     BeforePrepare,
     /// After every prepare (and its log append) of the target, before
     /// any force barrier: the target's records are pending and die with
@@ -81,15 +81,14 @@ impl CrashSite {
     ];
 }
 
-/// An armed in-process kill: die at `site` of the `event`-th wave
-/// (pipelined coordinator, 1-based) or the `event`-th cross-shard
-/// two-phase commit (serial coordinator, 1-based). If the batch has
-/// fewer events the crash never fires and the batch completes.
+/// An armed in-process kill: die at `site` of a batch's `event`-th
+/// wave (1-based). If the batch has fewer waves the crash never fires
+/// and the batch completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// The protocol point to die at.
     pub site: CrashSite,
-    /// Which wave / cross-shard 2PC to die in (1-based).
+    /// Which wave to die in (1-based).
     pub event: u64,
 }
 
@@ -135,9 +134,9 @@ pub struct ShardRecovery {
     /// scopes whose commit decision never became durable.
     pub skipped: u64,
     /// Durable records superseded by a later append at the same
-    /// timestamp: a wave casualty's forced record and its serial
-    /// retry's log byte-identical payloads (decomposition is
-    /// retry-stable), and replay keeps the last. Always
+    /// timestamp: a wave casualty's forced record and its retry's log
+    /// byte-identical payloads (decomposition is retry-stable), and
+    /// replay keeps the last. Always
     /// `replayed + skipped + duplicates == records`.
     pub duplicates: u64,
     /// Row-level effects applied during replay.

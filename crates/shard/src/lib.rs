@@ -23,20 +23,16 @@
 //!   customers that live elsewhere), and stamps every transaction's
 //!   commit timestamp from the deployment's shared
 //!   [`pushtap_mvcc::TsOracle`] in *global stream order*;
-//! * [`coordinator`] — conflict-aware execution under a
-//!   [`CoordinatorMode`] knob. The default *pipelined* path derives
+//! * [`coordinator`] — conflict-aware wave execution. It derives
 //!   every transaction's keyset ([`pushtap_oltp::KeySet`]) from the
 //!   read-only decomposition, cuts the stream into conflict-free
 //!   waves ([`coordinator::schedule`]), and executes each wave —
 //!   warehouse-local and cross-shard transactions alike — concurrently
-//!   with all two-phase-commit prepare/vote/decide rounds overlapped;
-//!   the *serial* oracle keeps the original discipline (local
-//!   transactions on per-shard queues, every cross-shard transaction
-//!   behind a barrier flush with its 2PC run alone). In both modes the
-//!   home shard decomposes the transaction into owner-tagged effects
-//!   ([`pushtap_oltp::TpccDb::decompose`]), prepares its own, forwards
-//!   the rest, collects votes, and commits (or aborts and retries at
-//!   the same pinned timestamp) everywhere;
+//!   with all two-phase-commit prepare/vote/decide rounds overlapped.
+//!   The home shard decomposes each transaction into owner-tagged
+//!   effects ([`pushtap_oltp::TpccDb::decompose`]), prepares its own,
+//!   forwards the rest, collects votes, and commits (or aborts and
+//!   retries alone at the same pinned timestamp) everywhere;
 //! * [`ArrivalGen`] / [`OpenLoopConfig`] — the open-loop front-end:
 //!   a deterministic seeded arrival process (Poisson plus an on/off
 //!   burstiness knob) feeds bounded per-shard inboxes with admission
@@ -58,7 +54,7 @@
 //!   participant aborts, forwarded effects, commit rounds, the
 //!   sequential 2PC-time ledger and the critical-path time that
 //!   actually landed on clocks — plus the coordinator's scheduling
-//!   stats in [`CoordStats`]: barrier flushes, waves, overlap).
+//!   stats in [`CoordStats`]: waves, widest wave, overlap).
 //!
 //! # Byte identity
 //!
@@ -124,7 +120,7 @@ mod router;
 mod service;
 
 pub use arrival::{ArrivalConfig, ArrivalGen};
-pub use config::{CommitConfig, CoordinatorMode, OpenLoopConfig, ShardConfig};
+pub use config::{CommitConfig, OpenLoopConfig, ShardConfig};
 pub use durability::{
     CheckpointReport, CrashPoint, CrashSite, RecoveryReport, ShardRecovery, WalBytes,
 };

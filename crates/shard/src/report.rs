@@ -6,7 +6,7 @@ use pushtap_olap::QueryResult;
 use pushtap_pim::Ps;
 use pushtap_trace::Histogram;
 
-use crate::config::CoordinatorMode;
+use crate::router::RoutedTxn;
 
 /// Aggregate cross-shard accounting of one routed batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,38 +58,41 @@ pub struct ShardLoad {
 /// overlap the schedule extracted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordStats {
-    /// Which coordinator executed the batch.
-    pub mode: CoordinatorMode,
-    /// Barrier flushes: times the serial coordinator drained the
-    /// involved shards' local queues before running a cross-shard
-    /// two-phase commit alone (one per cross-shard transaction). The
-    /// pipelined coordinator never flushes — waves subsume the barrier —
-    /// so this is zero there, which is exactly the reduction the
-    /// refactor claims.
-    pub barrier_flushes: u64,
-    /// Waves scheduled (pipelined only; zero under the serial path).
+    /// Waves executed.
     pub waves: u64,
     /// Transactions in the largest wave.
     pub max_wave: u64,
     /// Cross-shard two-phase commits that ran concurrently with at
     /// least one other 2PC of the same wave: a wave holding `k ≥ 2` of
     /// them contributes all `k` (each overlapped the others; a wave
-    /// casualty retried serially still overlapped on its wave attempt).
-    /// Zero under the serial coordinator (every 2PC runs alone).
+    /// casualty retried alone still overlapped on its wave attempt).
     pub overlapped_two_pcs: u64,
     /// `Commit(ts)` entries appended to the coordinator decision log
     /// (one per committed cross-shard transaction; zero with the WAL
     /// off).
     pub decision_appends: u64,
     /// Decision-log force barriers (one per wave holding a committed
-    /// cross-shard transaction under the pipelined coordinator, one per
-    /// committed 2PC under the serial one). Charged to no engine clock:
-    /// the decision log is coordinator-side state, forced while the
-    /// decision round-trip is already in flight.
+    /// cross-shard transaction, one per committed casualty retry).
+    /// Charged to no engine clock: the decision log is coordinator-side
+    /// state, forced while the decision round-trip is already in flight.
     pub decision_forces: u64,
     /// Whether an armed crash point fired during the batch (the stream
     /// stopped dead at the crash site).
     pub crashed: bool,
+}
+
+impl CoordStats {
+    /// Accounts one wave about to execute: its width, and — when it
+    /// holds two or more cross-shard transactions — every one of their
+    /// 2PCs as overlapped.
+    pub(crate) fn record_wave(&mut self, wave: &[RoutedTxn]) {
+        self.waves += 1;
+        self.max_wave = self.max_wave.max(wave.len() as u64);
+        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
+        if cross >= 2 {
+            self.overlapped_two_pcs += cross;
+        }
+    }
 }
 
 /// The outcome of one batch across all shards.
@@ -99,8 +102,7 @@ pub struct ShardOltpReport {
     pub per_shard: Vec<ShardLoad>,
     /// Aggregate routing/remote accounting.
     pub remote: RemoteTouches,
-    /// Coordinator scheduling statistics (waves, overlap, barrier
-    /// flushes).
+    /// Coordinator scheduling statistics (waves, overlap).
     pub coord: CoordStats,
 }
 
@@ -254,8 +256,8 @@ impl ShardOltpReport {
     /// the clocks) minus the group-commit force time it includes —
     /// forces are durability, not messaging, so a logged but fully
     /// warehouse-local batch reports zero here. The share can never
-    /// exceed 1.0 even when the pipelined coordinator overlaps many
-    /// 2PCs — dividing the sequential ledger by busy time could.
+    /// exceed 1.0 even when waves overlap many 2PCs — dividing the
+    /// sequential ledger by busy time could.
     pub fn two_pc_time_share(&self) -> f64 {
         let busy: u64 = self.per_shard.iter().map(|s| s.elapsed.ps()).sum();
         let rounds = self
@@ -296,7 +298,7 @@ impl ShardOltpReport {
     /// Durable syncs per committed transaction: every effect-log force
     /// plus every decision-log force, over the batch's commits. Group
     /// commit's whole point is to push this **below 1.0** — one barrier
-    /// amortized across a wave or bucket — where naive per-transaction
+    /// amortized across a wave — where naive per-transaction
     /// durability would pay ≥ 1.
     pub fn fsync_per_txn(&self) -> f64 {
         let committed = self.committed();
@@ -309,8 +311,7 @@ impl ShardOltpReport {
 
     /// Fraction of this batch's cross-shard two-phase commits that ran
     /// concurrently with another 2PC of their wave: the overlap the
-    /// pipelined scheduler extracted (zero under the serial
-    /// coordinator, or when nothing crossed shards).
+    /// wave scheduler extracted (zero when nothing crossed shards).
     pub fn overlap_ratio(&self) -> f64 {
         if self.remote.cross_shard_txns == 0 {
             0.0
@@ -327,13 +328,10 @@ impl ShardOltpReport {
         self.merged(|r| &r.commit_latency)
     }
 
-    /// Coordinator-queue wait merged across all shards: how long
-    /// warehouse-local transactions sat parked before a flush under the
-    /// serial coordinator, or how long admitted arrivals sat in their
-    /// home inbox before their wave dispatched under the open-loop
-    /// front-end (one sample per admitted transaction there). Empty
-    /// for a pipelined *batch* run — waves subsume the queues and the
-    /// whole batch is offered at time zero.
+    /// Inbox wait merged across all shards: how long admitted arrivals
+    /// sat in their home inbox before their wave dispatched under the
+    /// open-loop front-end (one sample per admitted transaction). Empty
+    /// for a *batch* run — the whole batch is offered at time zero.
     pub fn queue_wait(&self) -> Histogram {
         self.merged(|r| &r.queue_wait)
     }
@@ -352,9 +350,9 @@ impl ShardOltpReport {
 
     /// Per-round 2PC message stall merged across all shards:
     /// `two_pc_stall().stats().count == commit_rounds()` and the sample
-    /// sum equals [`ShardOltpReport::critical_path_time`] — the serial
-    /// path records full hops, the pipelined path records only the
-    /// residual stall after overlap.
+    /// sum equals [`ShardOltpReport::critical_path_time`] — a wave
+    /// records only the residual stall after overlap, a casualty's
+    /// retry records full hops.
     pub fn two_pc_stall(&self) -> Histogram {
         self.merged(|r| &r.two_pc_stall)
     }

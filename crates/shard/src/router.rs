@@ -39,7 +39,7 @@ pub struct RoutedTxn {
     /// home engine's read-only decomposition
     /// ([`pushtap_oltp::TpccDb::keyset`]). Empty until the service
     /// stamps it ([`crate::ShardedHtap`] stamps every stream it routes);
-    /// the pipelined coordinator's wave scheduler requires it.
+    /// the coordinator's wave scheduler requires it.
     pub keys: KeySet,
     /// The instant this transaction *arrived* at the deployment, in
     /// simulated picoseconds. [`Ps::ZERO`] for closed-loop (batch)

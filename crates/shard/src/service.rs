@@ -127,8 +127,7 @@ impl ShardedHtap {
     /// handles that outlive the service, so a crash-point test can kill
     /// the deployment and still read the durable bytes. Forces charge
     /// [`crate::CommitConfig::force_latency`] to the forcing shard's
-    /// clock (group commit amortizes one force across a wave or
-    /// bucket).
+    /// clock (group commit amortizes one force across a wave).
     pub fn enable_wal(&mut self) -> WalHandles {
         let (logs, handles): (Vec<Wal>, Vec<MemLog>) =
             (0..self.shards.len()).map(|_| Wal::in_memory()).unzip();
@@ -392,10 +391,11 @@ impl ShardedHtap {
     }
 
     /// Routes `n` transactions from a global stream and executes them in
-    /// stream order: warehouse-local transactions run in concurrent
-    /// per-shard queues, cross-shard transactions run as coordinator-
-    /// driven two-phase commits (effects forwarded to their owning
-    /// shards — see [`crate::coordinator`]). Every transaction is
+    /// stream order as conflict-free waves: warehouse-local and
+    /// cross-shard transactions alike run concurrently across shards,
+    /// the cross-shard ones as coordinator-driven two-phase commits
+    /// (effects forwarded to their owning shards — see
+    /// [`crate::coordinator`]). Every transaction is
     /// stamped with its stream-order timestamp from the shared oracle at
     /// routing time, so the deployment commits exactly the timestamps a
     /// single unpartitioned instance executing the same stream would.
@@ -437,9 +437,8 @@ impl ShardedHtap {
 
     /// Runs a routed stream through the coordinator: stamps every
     /// transaction's conflict keyset (derived from the home engine's
-    /// read-only decomposition — the wave scheduler's input; skipped
-    /// under the serial oracle, which never reads it) and executes
-    /// under the configured [`crate::CoordinatorMode`].
+    /// read-only decomposition — the wave scheduler's input) and
+    /// executes it wave by wave.
     fn execute_stream(
         &mut self,
         mut stream: Vec<crate::router::RoutedTxn>,
@@ -449,12 +448,10 @@ impl ShardedHtap {
             "service crashed at its armed crash point; harvest the logs and \
              recover into a fresh deployment"
         );
-        if self.cfg.mode == crate::CoordinatorMode::Pipelined {
-            for routed in &mut stream {
-                routed.keys = self.shards[routed.shard as usize]
-                    .db()
-                    .keyset(&routed.txn, routed.ts);
-            }
+        for routed in &mut stream {
+            routed.keys = self.shards[routed.shard as usize]
+                .db()
+                .keyset(&routed.txn, routed.ts);
         }
         for routed in &stream {
             let home = &self.shards[routed.shard as usize];
@@ -483,23 +480,11 @@ impl ShardedHtap {
             &map,
             stream,
             self.cfg.commit,
-            self.cfg.mode,
             ctx.as_mut(),
         );
         let crashed = ctx.map(|c| c.crashed); // consumes ctx, ending its borrow
         if let (Some(crashed), Some(d)) = (crashed, self.durability.as_mut()) {
             d.crashed = crashed;
-        }
-        // Batch boundary for the shadow tracker: every scope must be
-        // decided and zero prepared versions may linger. A crashed batch
-        // legitimately leaves prepared scopes behind (recovery resolves
-        // them by presumed abort), so the boundary check is skipped.
-        if !self.crashed() {
-            let san = self.shards[0].db().sanitizer();
-            if san.enabled() {
-                let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
-                san.batch_end(pending);
-            }
         }
         out
     }
@@ -519,9 +504,7 @@ impl ShardedHtap {
     /// # Panics
     ///
     /// Panics if the service crashed at an armed crash point, if a WAL
-    /// is attached (open-loop durability is future work), if the
-    /// coordinator mode is not [`crate::CoordinatorMode::Pipelined`]
-    /// (the serial oracle has no wave scheduler to feed), or if `open`
+    /// is attached (open-loop durability is future work), or if `open`
     /// has a zero inbox depth or window.
     pub fn run_open_loop(
         &mut self,
@@ -538,11 +521,6 @@ impl ShardedHtap {
         assert!(
             self.durability.is_none(),
             "open-loop runs do not support an attached WAL yet"
-        );
-        assert_eq!(
-            self.cfg.mode,
-            crate::CoordinatorMode::Pipelined,
-            "open-loop scheduling requires the pipelined coordinator"
         );
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
         assert!(open.window > 0, "scheduling window must be positive");
@@ -588,10 +566,7 @@ impl ShardedHtap {
         let mut loads: Vec<ShardLoad> = (0..self.shards.len())
             .map(|_| ShardLoad::default())
             .collect();
-        let mut stats = CoordStats {
-            mode: self.cfg.mode,
-            ..CoordStats::default()
-        };
+        let mut stats = CoordStats::default();
         let mut remote = RemoteTouches::default();
         let mut sched = WaveScheduler::new(open.window);
         // Inbox occupancy per shard = `waiting` (admitted, not yet
@@ -723,19 +698,7 @@ impl ShardedHtap {
             waiting.iter().all(|&d| d == 0),
             "drained inboxes must be empty"
         );
-        // Batch boundary for the shadow tracker (see execute_stream):
-        // every scope decided, no prepared versions, arrivals cleared.
-        {
-            let san = self.shards[0].db().sanitizer();
-            if san.enabled() {
-                let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
-                san.batch_end(pending);
-            }
-        }
-        for (i, load) in loads.iter_mut().enumerate() {
-            load.elapsed = self.shards[i].now().saturating_sub(starts[i]);
-            load.report.gc.merge(&self.shards[i].take_gc_stats());
-        }
+        coordinator::close_batch(&mut self.shards, &starts, &mut loads, false);
         OpenLoopReport {
             exec: ShardOltpReport {
                 per_shard: loads,
@@ -920,7 +883,7 @@ fn compact_shard_log(shard: &Pushtap, log: &mut Wal, decided: &BTreeSet<u64>) ->
     let image = log.durable_image();
     let scanned = scan(&image);
     // Dedupe by timestamp keep-last, mirroring replay (duplicate
-    // appends — a wave casualty and its serial retry — are
+    // appends — a wave casualty and its retry — are
     // byte-identical by retry-stability).
     let mut by_ts: BTreeMap<u64, EffectRecord> = BTreeMap::new();
     for payload in &scanned.records {
@@ -1010,7 +973,7 @@ fn compact_shard_log(shard: &Pushtap, log: &mut Wal, decided: &BTreeSet<u64>) ->
 
 /// Replays one shard's log image: scans the longest valid record
 /// prefix, dedupes by timestamp keeping the last append (a wave attempt
-/// and its serial retry log byte-identical records — decomposition is
+/// and its retry log byte-identical records — decomposition is
 /// retry-stable — so last-wins is harmless), and re-commits every
 /// record that is warehouse-local or decision-log-vouched through the
 /// ordinary prepare/commit pipeline at its pinned timestamp. Returns

@@ -27,8 +27,7 @@ use pushtap_core::Pushtap;
 use pushtap_format::RowSlot;
 use pushtap_pim::Ps;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, CoordinatorMode, OpenLoopConfig, OpenLoopReport, ShardConfig,
-    ShardedHtap,
+    ArrivalConfig, ArrivalGen, OpenLoopConfig, OpenLoopReport, ShardConfig, ShardedHtap,
 };
 
 const SEED: u64 = 2025;
@@ -94,7 +93,7 @@ fn run_open(
 /// arrivals (`admitted_index` into the regenerated arrival stream) at
 /// their pinned timestamps.
 fn reference_of_admitted(mix: RemoteMix, seed: u64, txns: u64, report: &OpenLoopReport) -> Pushtap {
-    let cfg = ShardConfig::small(1).with_mode(CoordinatorMode::Pipelined);
+    let cfg = ShardConfig::small(1);
     let mut reference = Pushtap::new(cfg.base.clone()).expect("build reference");
     let warehouses = reference.db().warehouses_global();
     let mut gen = reference.txn_gen(seed).with_remote_mix(mix, warehouses);
@@ -139,7 +138,7 @@ fn incremental_waves_match_batch_and_reference() {
         for shards in [1u32, 2, 4, 8] {
             // One batch service + one unpartitioned reference per
             // (mix, shards), shared across the window sweep.
-            let cfg = ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined);
+            let cfg = ShardConfig::small(shards);
             let mut batch_service = ShardedHtap::new(cfg.clone()).expect("build shards");
             let warehouses = batch_service.map().warehouses();
             let mut gen = batch_service
@@ -190,7 +189,7 @@ fn incremental_waves_match_batch_and_reference() {
 /// exactly the admitted arrivals.
 #[test]
 fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
-    let cfg = ShardConfig::small(4).with_mode(CoordinatorMode::Pipelined);
+    let cfg = ShardConfig::small(4);
     // 4x the identity rate: arrivals land far faster than service.
     let arrivals = ArrivalConfig::poisson(4.0 * RATE_TPS);
     let open = OpenLoopConfig::new(4, 8);
@@ -235,7 +234,7 @@ fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
 fn open_loop_is_deterministic_per_seed() {
     let run = || {
         run_open(
-            ShardConfig::small(2).with_mode(CoordinatorMode::Pipelined),
+            ShardConfig::small(2),
             RemoteMix::TPCC,
             SEED,
             TXNS,
@@ -262,7 +261,7 @@ fn open_loop_is_deterministic_per_seed() {
 #[test]
 fn laggard_votes_only_add_stall() {
     let run = |jitter: Ps| {
-        let mut cfg = ShardConfig::small(4).with_mode(CoordinatorMode::Pipelined);
+        let mut cfg = ShardConfig::small(4);
         cfg.commit.vote_jitter = jitter;
         let mut service = ShardedHtap::new(cfg).expect("build shards");
         let warehouses = service.map().warehouses();
@@ -310,7 +309,7 @@ proptest! {
         } else {
             ArrivalConfig::bursty(rate, burst, Ps::from_us(2.0))
         };
-        let cfg = ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined);
+        let cfg = ShardConfig::small(shards);
         let label = format!(
             "proptest seed {seed} rate x{rate_scale} burst {burst} inbox {inbox} window {window} {shards} shards"
         );

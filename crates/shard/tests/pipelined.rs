@@ -1,10 +1,9 @@
-//! The pipelined-coordinator acceptance property: conflict-aware wave
-//! scheduling commits **byte-identical** state to both the serial
-//! (barrier-flush) coordinator and the unpartitioned reference — at
+//! The coordinator acceptance property: conflict-aware wave scheduling
+//! commits **byte-identical** state to the unpartitioned reference — at
 //! every shard count, under every remote mix, with and without delta
 //! pressure, including waves where participants abort on `DeltaFull`
-//! mid-flight — while strictly reducing barrier flushes and overlapping
-//! the two-phase commits of non-conflicting transactions.
+//! mid-flight — while overlapping the two-phase commits of
+//! non-conflicting transactions.
 //!
 //! Committed bytes are a pure function of the committed transaction
 //! stream: the wave scheduler orders conflicting transactions by pinned
@@ -18,8 +17,7 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_core::Pushtap;
-use pushtap_format::RowSlot;
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 
 const SEED: u64 = 2025;
 const TXNS: u64 = 120;
@@ -28,8 +26,8 @@ const TXNS: u64 = 120;
 /// tables get one-slot arenas so every transaction class aborts, while
 /// the smallest partitioned STOCK slice still fits one worst-case
 /// NewOrder after defragmentation.
-fn squeezed(shards: u32, mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards).with_mode(mode);
+fn squeezed(shards: u32) -> ShardConfig {
+    let mut cfg = ShardConfig::small(shards);
     cfg.base.db.delta_frac = 0.06;
     cfg.base.db.min_delta_rows = 8;
     cfg
@@ -71,32 +69,9 @@ fn run_batch(
     (service, report)
 }
 
-/// Byte-compares every table of every shard between two deployments of
-/// the same shard count (both defragmented by the caller).
-fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
-    assert_eq!(a.shard_count(), b.shard_count());
-    for i in 0..a.shard_count() {
-        let da = a.shard(i).db();
-        let db = b.shard(i).db();
-        assert_eq!(da.last_ts(), db.last_ts(), "{label}: shard {i} watermark");
-        for table in ALL_TABLES {
-            let ta = da.table(table);
-            let tb = db.table(table);
-            assert_eq!(ta.n_rows(), tb.n_rows());
-            for row in 0..ta.n_rows() {
-                assert_eq!(
-                    ta.store().read_row(RowSlot::Data { row }),
-                    tb.store().read_row(RowSlot::Data { row }),
-                    "{label}: shard {i} {table:?} row {row} diverged"
-                );
-            }
-        }
-    }
-}
-
 fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     let cfg = if pressured {
-        squeezed(1, CoordinatorMode::Serial)
+        squeezed(1)
     } else {
         ShardConfig::small(1)
     };
@@ -114,27 +89,18 @@ fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     reference
 }
 
-/// The tentpole invariant under delta pressure: at 2, 4, and 8 shards,
-/// under all three remote mixes, the pipelined coordinator's committed
-/// bytes equal the serial coordinator's and the unpartitioned
-/// reference's — with undersized arenas forcing aborts everywhere,
-/// including participants voting no mid-wave.
+/// The invariant under delta pressure: at 2, 4, and 8 shards, under
+/// all three remote mixes, the coordinator's committed bytes equal the
+/// unpartitioned reference's — with undersized arenas forcing aborts
+/// everywhere, including participants voting no mid-wave.
 #[test]
-fn pipelined_matches_serial_and_reference_under_pressure() {
+fn pipelined_matches_reference_under_pressure() {
     for mix in [RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(true, mix, SEED, TXNS);
         for shards in [2u32, 4, 8] {
             let label = format!("{} mix at {shards} shards", mix_name(mix));
-            let (serial, rs) =
-                run_batch(squeezed(shards, CoordinatorMode::Serial), mix, SEED, TXNS);
-            let (pipelined, rp) = run_batch(
-                squeezed(shards, CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
-            );
-            assert!(rs.aborts() > 0, "{label}: serial must feel the pressure");
-            assert!(rp.aborts() > 0, "{label}: pipelined must feel the pressure");
+            let (pipelined, rp) = run_batch(squeezed(shards), mix, SEED, TXNS);
+            assert!(rp.aborts() > 0, "{label}: the batch must feel the pressure");
             // The uniform mix at several shards forwards constantly:
             // participants must have aborted prepared scopes mid-wave.
             if mix == RemoteMix::Uniform {
@@ -143,17 +109,7 @@ fn pipelined_matches_serial_and_reference_under_pressure() {
                     "{label}: squeezed uniform waves must abort participants"
                 );
             }
-            assert_services_match(&serial, &pipelined, &label);
-            for (i, shard) in pipelined.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: shard {i}"),
-                    );
-                }
-            }
+            assert_matches_reference(&pipelined, &reference, &label);
         }
     }
 }
@@ -162,95 +118,68 @@ fn pipelined_matches_serial_and_reference_under_pressure() {
 /// anywhere): waves overlap cleanly and still commit the reference's
 /// exact bytes.
 #[test]
-fn pipelined_matches_serial_and_reference_ample() {
+fn pipelined_matches_reference_ample() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(false, mix, SEED, TXNS);
         for shards in [4u32, 8] {
             let label = format!("ample {} mix at {shards} shards", mix_name(mix));
-            let (serial, rs) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Serial),
-                mix,
-                SEED,
-                TXNS,
-            );
-            let (pipelined, rp) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
-            );
-            assert_eq!(rs.aborts(), 0, "{label}: ample arenas abort-free");
+            let (pipelined, rp) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
             assert_eq!(rp.aborts(), 0, "{label}: ample arenas abort-free");
-            assert_services_match(&serial, &pipelined, &label);
-            for (i, shard) in pipelined.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: shard {i}"),
-                    );
-                }
-            }
+            assert_matches_reference(&pipelined, &reference, &label);
         }
     }
 }
 
-/// The scheduling claims of the refactor: the pipelined coordinator
-/// never barrier-flushes (the serial one does, once per cross-shard
-/// transaction), overlaps a positive fraction of the 2PCs under
-/// cross-shard-heavy mixes at ≥ 4 shards, and its overlapped message
-/// deliveries keep the 2PC time share meaningful (≤ 1, with the
-/// critical-path cost at most the sequential ledger).
+/// Byte-compares every table of every shard against the unpartitioned
+/// reference.
+fn assert_matches_reference(service: &ShardedHtap, reference: &Pushtap, label: &str) {
+    for (i, shard) in service.shards().iter().enumerate() {
+        for table in ALL_TABLES {
+            common::assert_table_bytes_match(
+                shard,
+                reference,
+                table,
+                &format!("{label}: shard {i}"),
+            );
+        }
+    }
+}
+
+/// The scheduling claims: the coordinator overlaps a positive fraction
+/// of the 2PCs under cross-shard-heavy mixes at ≥ 4 shards, and its
+/// overlapped message deliveries keep the 2PC time share meaningful —
+/// at most 1 and, under the uniform mix, with the clock cost of the
+/// rounds below the sequential ledger, which counts every hop as if
+/// delivered alone.
 #[test]
-fn waves_reduce_barrier_flushes_and_overlap_two_pcs() {
+fn waves_overlap_two_pcs() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         for shards in [4u32, 8] {
             let label = format!("{} mix at {shards} shards", mix_name(mix));
-            let (_, rs) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Serial),
-                mix,
-                SEED,
-                TXNS,
-            );
-            let (_, rp) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
-            );
-            // Same stream, same routing.
-            assert_eq!(rs.remote.cross_shard_txns, rp.remote.cross_shard_txns);
-            assert!(rs.remote.cross_shard_txns > 0, "{label}: stream must cross");
-            // Serial flushes once per cross-shard txn; waves never flush.
-            assert_eq!(rs.coord.barrier_flushes, rs.remote.cross_shard_txns);
-            assert_eq!(rp.coord.barrier_flushes, 0, "{label}: waves never flush");
-            assert!(
-                rp.coord.barrier_flushes < rs.coord.barrier_flushes,
-                "{label}: flushes must strictly reduce"
-            );
+            let (_, rp) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
+            assert!(rp.remote.cross_shard_txns > 0, "{label}: stream must cross");
             // Waves exist and overlap 2PCs.
             assert!(rp.coord.waves > 0, "{label}: no waves scheduled");
             assert!(
                 rp.coord.waves < TXNS,
-                "{label}: the schedule must beat fully-serial"
+                "{label}: the schedule must beat one transaction per wave"
             );
             assert!(rp.coord.max_wave > 1, "{label}: no wave held >1 txn");
             assert!(rp.overlap_ratio() > 0.0, "{label}: zero 2PC overlap");
-            assert_eq!(rs.overlap_ratio(), 0.0, "serial never overlaps");
-            // The message-round ledger is schedule-independent, but the
-            // latency that lands on the clocks shrinks under overlap.
-            assert_eq!(rs.commit_rounds(), rp.commit_rounds(), "{label}");
-            assert_eq!(rs.two_pc_time(), rp.two_pc_time(), "{label}");
-            assert!(
-                rp.critical_path_time() < rs.critical_path_time(),
-                "{label}: overlapped deliveries must cost less clock"
-            );
-            assert!(rs.two_pc_time_share() <= 1.0 && rp.two_pc_time_share() <= 1.0);
-            assert!(
-                rp.two_pc_time_share() < rs.two_pc_time_share(),
-                "{label}: 2PC share must drop under overlap"
-            );
+            // Ample arenas: nothing retries, so every delivery belongs to
+            // a wave. Under the uniform worst case a wave's deliveries
+            // overlap so densely that the rounds cost less clock than
+            // their sequential ledger; at TPC-C rates cross-shard commits
+            // are sparse and laggard votes dominate, so no such bound
+            // holds there.
+            assert_eq!(rp.aborts(), 0, "{label}");
+            if mix == RemoteMix::Uniform {
+                assert!(
+                    rp.critical_path_time() < rp.two_pc_time(),
+                    "{label}: overlapped deliveries must cost less clock"
+                );
+            }
+            assert!(rp.two_pc_time_share() <= 1.0);
         }
     }
 }
@@ -261,8 +190,8 @@ proptest! {
     /// Byte identity over arbitrary arena sizes, stream lengths, seeds,
     /// and remote mixes: wherever `DeltaFull` strikes — a local wave
     /// item, the home half, or a forwarded participant mid-wave — the
-    /// pipelined deployment ends byte-identical to the serial one and
-    /// to an unpartitioned reference under the same pressure, with zero
+    /// sharded deployment ends byte-identical to an unpartitioned
+    /// reference under the same pressure, with zero
     /// prepared versions and zero leaked delta slots after every batch.
     #[test]
     fn pipelined_commits_reference_bytes_under_any_pressure(
@@ -280,38 +209,18 @@ proptest! {
         };
         let shards = if shard_pick == 0 { 2 } else { 4 };
         let min_rows = min_delta * 8;
-        let squeeze = |mode| {
-            let mut cfg = ShardConfig::small(shards).with_mode(mode);
-            cfg.base.db.delta_frac = frac;
-            cfg.base.db.min_delta_rows = min_rows;
-            cfg
-        };
+        let mut cfg = ShardConfig::small(shards);
+        cfg.base.db.delta_frac = frac;
+        cfg.base.db.min_delta_rows = min_rows;
 
-        let mut reference = {
-            let mut cfg = ShardConfig::small(1);
-            cfg.base.db.delta_frac = frac;
-            cfg.base.db.min_delta_rows = min_rows;
-            Pushtap::new(cfg.base).expect("build reference")
-        };
+        let mut reference = Pushtap::new(cfg.base.clone()).expect("build reference");
         let warehouses = reference.db().warehouses_global();
         let mut rgen = reference.txn_gen(seed).with_remote_mix(mix, warehouses);
         reference.run_txns(&mut rgen, txns);
         reference.defragment_all();
 
-        let (serial, rs) = run_batch(squeeze(CoordinatorMode::Serial), mix, seed, txns);
-        let (pipelined, rp) = run_batch(squeeze(CoordinatorMode::Pipelined), mix, seed, txns);
-        prop_assert!(rs.aborts() > 0, "arenas this small must abort");
+        let (pipelined, rp) = run_batch(cfg, mix, seed, txns);
         prop_assert!(rp.aborts() > 0, "arenas this small must abort");
-        assert_services_match(&serial, &pipelined, "proptest serial-vs-pipelined");
-        for (i, shard) in pipelined.shards().iter().enumerate() {
-            for table in ALL_TABLES {
-                common::assert_table_bytes_match(
-                    shard,
-                    &reference,
-                    table,
-                    &format!("proptest shard {i}"),
-                );
-            }
-        }
+        assert_matches_reference(&pipelined, &reference, "proptest");
     }
 }

@@ -6,12 +6,11 @@
 //! by global-cut scatter-gather.
 //!
 //! Run with:
-//! `cargo run --release --example sharded_htap [shards] [mix] [mode] [trace.json]`
-//! where `mix` is `uniform` (default), `tpcc`, or `local`, `mode` is
-//! `pipelined` (conflict-aware wave scheduling, the default) or
-//! `serial` (the barrier-flush oracle), and an optional fourth argument
-//! writes the batch's lifecycle spans as a Chrome-trace JSON file
-//! (load it at <https://ui.perfetto.dev> or `chrome://tracing`).
+//! `cargo run --release --example sharded_htap [shards] [mix] [trace.json]`
+//! where `mix` is `uniform` (default), `tpcc`, or `local`, and an
+//! optional third argument writes the batch's lifecycle spans as a
+//! Chrome-trace JSON file (load it at <https://ui.perfetto.dev> or
+//! `chrome://tracing`).
 //!
 //! Or run the crash-recovery demo:
 //! `cargo run --release --example sharded_htap crash [dir]`
@@ -25,7 +24,7 @@ use std::sync::Arc;
 
 use pushtap::chbench::RemoteMix;
 use pushtap::olap::{Query, QueryResult};
-use pushtap::shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap::shard::{ShardConfig, ShardedHtap};
 use pushtap::trace::{chrome, fmt_ps, two_pc_overlap_peak, MemSink};
 
 /// The crash-recovery demo: write-ahead-log a batch to `dir`, crash
@@ -41,7 +40,7 @@ fn crash_demo(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     const TXNS: u64 = 400;
     const SEED: u64 = 42;
     let mix = RemoteMix::Uniform;
-    let cfg = ShardConfig::small(SHARDS).with_mode(CoordinatorMode::Pipelined);
+    let cfg = ShardConfig::small(SHARDS);
 
     // Phase 1: a logged deployment that dies at an armed crash point —
     // here halfway through a decision-log write, the nastiest spot
@@ -60,7 +59,7 @@ fn crash_demo(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     let before = service.run_txns(&mut gen, TXNS);
     assert!(service.crashed(), "the armed crash point must fire");
     println!(
-        "killed the deployment mid-decision-log write (5th cross-shard decision): \
+        "killed the deployment mid-decision-log write (wave 5): \
          {} of {TXNS} txns had committed; {} effect records ({} bytes) and {} \
          decisions were durable in {}",
         before.committed(),
@@ -160,28 +159,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("local") => (RemoteMix::LOCAL, "warehouse-local"),
         _ => (RemoteMix::Uniform, "uniform"),
     };
-    let (mode, mode_name) = match std::env::args().nth(3).as_deref() {
-        Some("serial") => (CoordinatorMode::Serial, "serial (barrier-flush)"),
-        _ => (CoordinatorMode::Pipelined, "pipelined (wave-scheduled)"),
-    };
-    let trace_path = std::env::args().nth(4);
-    let mut service = ShardedHtap::new(ShardConfig::small(shards).with_mode(mode))?;
+    let trace_path = std::env::args().nth(3);
+    let mut service = ShardedHtap::new(ShardConfig::small(shards))?;
     let sink = Arc::new(MemSink::default());
     if trace_path.is_some() {
         service.set_trace_sink(sink.clone());
     }
     println!(
-        "built {} shards over {} warehouses ({} warehouses per shard, ITEM replicated), {mix_name} mix, {mode_name} coordinator",
+        "built {} shards over {} warehouses ({} warehouses per shard, ITEM replicated), {mix_name} mix",
         service.shard_count(),
         service.map().warehouses(),
         service.map().warehouses() / service.shard_count() as u64,
     );
 
     // OLTP: a global Payment/NewOrder stream routed by home warehouse.
-    // Under the pipelined coordinator, conflict-free waves execute
-    // concurrently and cross-shard two-phase commits overlap; under the
-    // serial oracle, local transactions queue per shard and every 2PC
-    // runs alone behind a barrier flush.
+    // Conflict-free waves execute concurrently and their cross-shard
+    // two-phase commits overlap.
     let warehouses = service.map().warehouses();
     let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
     let oltp = service.run_txns(&mut gen, 600);
@@ -220,11 +213,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oltp.two_pc_time_share() * 100.0,
     );
     println!(
-        "schedule: {} waves (widest {}), {} barrier flushes, {:.1}% of 2PCs overlapped, \
+        "schedule: {} waves (widest {}), {:.1}% of 2PCs overlapped, \
          round latency {} on the critical path vs {} sequential",
         oltp.coord.waves,
         oltp.coord.max_wave,
-        oltp.coord.barrier_flushes,
         oltp.overlap_ratio() * 100.0,
         oltp.critical_path_time(),
         oltp.two_pc_time(),
